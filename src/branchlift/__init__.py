@@ -23,7 +23,6 @@ from .modular import (
     matadd,
     matmul,
     matsub,
-    perm_matrix,
     reduce_mod,
     valuation,
 )

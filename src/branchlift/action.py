@@ -23,7 +23,6 @@ from .modular import (
     Perm,
     inv_unitriangular,
     matmul,
-    perm_matrix,
     reduce_mod,
     valuation,
 )
@@ -91,7 +90,7 @@ def action_matrix(alpha: Perm) -> Matrix:
     if b < 1:
         raise ValueError("need at least two marked points")
     u, sigma = decompose(alpha)
-    base = tuple(tuple(row[:b]) for row in perm_matrix(sigma)[:b])
+    base = tuple(tuple(row[:b]) for row in sigma.matrix()[:b])
     if u is None:
         return base
     return matmul(_swap_matrix(u, b), base)

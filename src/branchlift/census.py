@@ -18,8 +18,9 @@ liftable exactly when its orbit is a single subgroup.
 from __future__ import annotations
 
 import json
+import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -275,14 +276,10 @@ def _point_classes(ctx: ModulusContext, b: int) -> list[tuple[int, ...]]:
 
 
 def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
-             strict: bool = True, jobs: int = 1) -> CensusReport:
+             strict: bool = True) -> CensusReport:
     """Full census at (p, k, n): every cover class with deck-group exponent
     exactly p^k, its size, lifting verdict, and the comparison against the
-    closed-form prediction.
-
-    ``jobs`` > 1 rebuilds candidate spans in a process pool; results are
-    merged in a deterministic order, so the report does not depend on it.
-    """
+    closed-form prediction."""
     if n < 3:
         raise ValueError("use classify_two_points for n = 2")
     b = n - 1
@@ -290,15 +287,9 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
     ctx = ModulusContext(p, k)
     start = time.perf_counter()
 
-    forms = list(_identity_forms(ctx, b, max_rank=b - 1))
-    if jobs > 1:
-        candidates = _rebuild_parallel(forms, jobs)
-    else:
-        candidates = [rebuild(f) for f in forms]
-
     seen: set[Matrix] = set()
     kernels: list[Subgroup] = []
-    for sub in candidates:
+    for sub in map(rebuild, _identity_forms(ctx, b, max_rank=b - 1)):
         if sub.basis not in seen:
             seen.add(sub.basis)
             kernels.append(sub)
@@ -355,35 +346,23 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
         )
 
     predicted = predict_liftable(p, k, n)
-    predicted_kernels = [kernel(pr.cover) for pr in predicted]
+    predicted_bases = [kernel(pr.cover).basis for pr in predicted]
     matched_predictions: set[int] = set()
     final = []
     all_matched = True
     for rec in sorted(records, key=lambda r: (order(r.kernel), r.kernel.basis)):
-        family = param = None
         if rec.liftable:
             hits = [
-                i for i, kk in enumerate(predicted_kernels)
-                if kk.basis == rec.kernel.basis
+                i for i, basis in enumerate(predicted_bases)
+                if basis == rec.kernel.basis
             ]
             if len(hits) == 1:
-                family = predicted[hits[0]].family
-                param = predicted[hits[0]].param
+                pr = predicted[hits[0]]
+                rec = replace(rec, family=pr.family, family_param=pr.param)
                 matched_predictions.add(hits[0])
             else:
                 all_matched = False
-        final.append(
-            CoverClass(
-                kernel=rec.kernel,
-                form=rec.form,
-                cover=rec.cover,
-                liftable=rec.liftable,
-                witness=rec.witness,
-                size=rec.size,
-                family=family,
-                family_param=param,
-            )
-        )
+        final.append(rec)
     match = all_matched and matched_predictions == set(range(len(predicted)))
 
     elapsed_ms = int((time.perf_counter() - start) * 1000)
@@ -400,45 +379,6 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
         dropped_unbranched=dropped,
         elapsed_ms=elapsed_ms,
     )
-
-
-def _rebuild_chunk(args: tuple[int, int, int, list[dict]]) -> list[tuple]:
-    p, k, b, payloads = args
-    ctx = ModulusContext(p, k)
-    out = []
-    for payload in payloads:
-        form = CanonicalForm(
-            ctx=ctx,
-            width=b,
-            rank=payload["rank"],
-            exponents=tuple(payload["exponents"]),
-            upper=tuple(tuple(r) for r in payload["upper"]),
-            colperm=Perm.identity(b),
-        )
-        out.append(rebuild(form).basis)
-    return out
-
-
-def _rebuild_parallel(forms: list[CanonicalForm], jobs: int) -> list[Subgroup]:
-    from concurrent.futures import ProcessPoolExecutor
-
-    if not forms:
-        return []
-    ctx = forms[0].ctx
-    b = forms[0].width
-    payloads = [
-        {"rank": f.rank, "exponents": list(f.exponents), "upper": [list(r) for r in f.upper]}
-        for f in forms
-    ]
-    size = max(1, len(payloads) // (jobs * 4))
-    chunks = [
-        (ctx.p, ctx.k, b, payloads[i:i + size]) for i in range(0, len(payloads), size)
-    ]
-    bases: list[Matrix] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_rebuild_chunk, chunks):
-            bases.extend(part)
-    return [Subgroup(ctx, b, basis) for basis in bases]
 
 
 @dataclass(frozen=True)
@@ -463,20 +403,20 @@ class VerifySummary:
 
 def verify_classification(points: Sequence[tuple[int, int, int]], *,
                           bound: int = DEFAULT_BOUND, strict: bool = True,
-                          jobs: int = 1,
                           atlas_dir: str | Path | None = None) -> VerifySummary:
     """Run the census over a grid and collect any disagreement with the
-    closed form, with the offending kernels as diagnostics."""
+    closed form, with the offending kernels as diagnostics.
+
+    A missing predicted class names the generator its kernel fails to be
+    invariant under, or None when that kernel is invariant after all.
+    """
     entries = []
     for p, k, n in points:
-        report = classify(p, k, n, bound=bound, strict=strict, jobs=jobs)
+        report = classify(p, k, n, bound=bound, strict=strict)
         if atlas_dir is not None:
             write_atlas(report, atlas_dir)
         mismatches = []
         if not report.match:
-            predicted_kernels = {
-                kernel(pr.cover).basis: pr for pr in report.predicted
-            }
             for rec in report.liftable_classes:
                 if rec.family is None:
                     mismatches.append(
@@ -493,14 +433,14 @@ def verify_classification(points: Sequence[tuple[int, int, int]], *,
             }
             for pr in report.predicted:
                 if (pr.family, pr.param) not in matched:
+                    ker = kernel(pr.cover)
                     mismatches.append(
                         {
                             "kind": "missing_predicted_class",
-                            "kernel": subgroup_to_json(kernel(pr.cover)),
-                            "witness": None,
+                            "kernel": subgroup_to_json(ker),
+                            "witness": fully_liftable(ker).to_json()["witness"],
                         }
                     )
-            del predicted_kernels
         entries.append(
             VerifyEntry(
                 p=p,
@@ -638,7 +578,9 @@ def write_atlas(report: CensusReport, directory: str | Path) -> Path:
 
     When the semantic content (everything except the timing) matches what
     is already on disk, the existing file is left byte-identical, so
-    repeated runs do not churn diffs.
+    repeated runs do not churn diffs.  Otherwise the document is written
+    to a temporary file beside the target and renamed onto it, so a failed
+    write leaves the previous file intact.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -656,5 +598,11 @@ def write_atlas(report: CensusReport, directory: str | Path) -> Path:
             fresh.pop("elapsed_ms", None)
             if stale == fresh:
                 return path
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(doc, indent=2) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path

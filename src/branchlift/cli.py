@@ -248,7 +248,7 @@ def cmd_classify(args) -> int:
             )
         return 0
     try:
-        report = classify(args.p, args.k, args.n, bound=args.bound, strict=strict, jobs=args.jobs)
+        report = classify(args.p, args.k, args.n, bound=args.bound, strict=strict)
     except BoundExceededError as exc:
         return _fail(str(exc), 3)
     out_dir = _output_dir(args)
@@ -286,7 +286,6 @@ def cmd_verify(args) -> int:
             points,
             bound=args.bound,
             strict=not args.lax,
-            jobs=args.jobs,
             atlas_dir=_output_dir(args),
         )
     except BoundExceededError as exc:
@@ -397,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     cls = sub.add_parser("classify", help="census at one (p, k, n)")
     add_common(cls)
     cls.add_argument("--bound", type=int, default=DEFAULT_BOUND)
-    cls.add_argument("--jobs", type=int, default=1)
     cls.add_argument("--output", help="directory for the atlas JSON")
     cls.set_defaults(func=cmd_classify)
 
@@ -405,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(ver, with_pkn=False)
     ver.add_argument("--grid", help="semicolon-separated p,k,n triples")
     ver.add_argument("--bound", type=int, default=DEFAULT_BOUND)
-    ver.add_argument("--jobs", type=int, default=1)
     ver.add_argument("--output", help="directory for the atlas JSON files")
     ver.set_defaults(func=cmd_verify)
 

@@ -13,13 +13,15 @@ finite abelian cover into its prime-power parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 
 from .modular import Matrix, ModulusContext, Perm, Vector, inv_unitriangular_int
 from .subgroups import (
     CanonicalForm,
     Subgroup,
+    _eliminate,
+    _reduce_against,
     equal,
     order,
     span,
@@ -76,9 +78,11 @@ class CoverSpec:
     n: int
     factor_orders: tuple[int, ...]
     images: tuple[Vector, ...]
+    ctx: ModulusContext = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        ctx = ModulusContext(self.p, self.k)  # validates p prime, k >= 1, size
+        # ModulusContext validates p prime, k >= 1 and the modulus size.
+        object.__setattr__(self, "ctx", ModulusContext(self.p, self.k))
         if self.n < 2:
             raise ValueError("need at least two marked points")
         if not self.factor_orders:
@@ -101,25 +105,12 @@ class CoverSpec:
             reduced.append(tuple(x % q for x, q in zip(row, self.factor_orders)))
         object.__setattr__(self, "images", tuple(reduced))
         object.__setattr__(self, "factor_orders", tuple(self.factor_orders))
-        del ctx
-
-    @property
-    def ctx(self) -> ModulusContext:
-        return ModulusContext(self.p, self.k)
 
 
 def _is_power_of(q: int, p: int) -> bool:
     while q % p == 0:
         q //= p
     return q == 1
-
-
-def _exponent_of(q: int, p: int) -> int:
-    e = 0
-    while q % p == 0:
-        q //= p
-        e += 1
-    return e
 
 
 def deck_group_order(spec: CoverSpec) -> int:
@@ -172,93 +163,45 @@ def require_valid(spec: CoverSpec, strict: bool = True) -> None:
         raise CoverValidationError(codes)
 
 
-def _diagonalize(mat: list[list[int]], nrows: int, ncols: int,
-                 ctx: ModulusContext) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """Reduce a matrix over Z/p^k to diagonal p-powers by invertible
-    row and column operations.
+def _eliminate_images(spec: CoverSpec) -> tuple[list[list[int]], list[tuple[int, int]],
+                                                list[list[int]]]:
+    """Eliminate the first n-1 embedded loop images, recording row operations.
 
-    Returns (U, V, exps) with U * mat * V diagonal, diagonal entry t equal
-    to p^exps[t]; both transforms are invertible mod p^k.  Minimal-valuation
-    pivoting keeps every elimination an exact integer division.
+    Row i is the embedded image of loop i followed by the i-th unit vector
+    of length n-1.  Elimination runs over the t deck-group columns only, so
+    the trailing n-1 entries of each result row record the combination of
+    loops whose image is in its leading t entries.
     """
-    p, k, n = ctx.p, ctx.k, ctx.modulus
-    a = [row[:] for row in mat]
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    exps: list[int] = []
-    t = 0
-    limit = min(nrows, ncols)
-    while t < limit:
-        best_v, best_j, best_i = k, ncols, nrows
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = a[i][j]
-                if x:
-                    w = _val(x, p, k)
-                    if (w, j, i) < (best_v, best_j, best_i):
-                        best_v, best_j, best_i = w, j, i
-        if best_v >= k:
-            break
-        if best_i != t:
-            a[t], a[best_i] = a[best_i], a[t]
-            u[t], u[best_i] = u[best_i], u[t]
-        if best_j != t:
-            for row in a:
-                row[t], row[best_j] = row[best_j], row[t]
-            for row in v:
-                row[t], row[best_j] = row[best_j], row[t]
-        pe = p ** best_v
-        unit = a[t][t] // pe
-        if unit != 1:
-            inv = pow(unit, -1, n)
-            a[t] = [(x * inv) % n for x in a[t]]
-            u[t] = [(x * inv) % n for x in u[t]]
-        for i in range(t + 1, nrows):
-            x = a[i][t]
-            if x:
-                c = x // pe
-                a[i] = [(y - c * z) % n for y, z in zip(a[i], a[t])]
-                u[i] = [(y - c * z) % n for y, z in zip(u[i], u[t])]
-        for j in range(t + 1, ncols):
-            x = a[t][j]
-            if x:
-                c = x // pe
-                for row in a:
-                    row[j] = (row[j] - c * row[t]) % n
-                for row in v:
-                    row[j] = (row[j] - c * row[t]) % n
-        exps.append(best_v)
-        t += 1
-    return u, v, exps
-
-
-def _val(a: int, p: int, k: int) -> int:
-    if a == 0:
-        return k
-    t = 0
-    while a % p == 0:
-        a //= p
-        t += 1
-    return t
+    ctx = spec.ctx
+    b = spec.n - 1
+    rows = [
+        row + [1 if j == i else 0 for j in range(b)]
+        for i, row in enumerate(_embedded_rows(spec, spec.images[:b]))
+    ]
+    return _eliminate(rows, range(len(spec.factor_orders)), ctx.p, ctx.k, ctx.modulus)
 
 
 def kernel(spec: CoverSpec, strict: bool = True) -> Subgroup:
     """Kernel of the induced map on mod-p^k homology, as a subgroup of
-    (Z/p^k)^(n-1)."""
+    (Z/p^k)^(n-1).
+
+    Each pivot row maps to p^e times a row that is a unit at its pivot and
+    zero at earlier pivots, and each leftover row maps to zero, so the
+    kernel is spanned by p^(k-e) times the pivot rows' loop combinations
+    together with the leftover rows' loop combinations.
+    """
     require_valid(spec, strict)
     ctx = spec.ctx
-    b = spec.n - 1
-    emb = _embedded_rows(spec, spec.images[:b])
-    t_cols = len(spec.factor_orders)
-    u, _, exps = _diagonalize(emb, b, t_cols, ctx)
     p, k, n = ctx.p, ctx.k, ctx.modulus
-    gens = []
-    for idx, e in enumerate(exps):
-        if e > 0:
-            gens.append([(x * p ** (k - e)) % n for x in u[idx]])
-    for idx in range(len(exps), b):
-        gens.append(u[idx])
-    return span(ctx, b, gens)
+    t = len(spec.factor_orders)
+    placed, pivots, rest = _eliminate_images(spec)
+    gens = [
+        [(x * p ** (k - e)) % n for x in row[t:]]
+        for row, (_, e) in zip(placed, pivots)
+        if e > 0
+    ]
+    gens += [row[t:] for row in rest]
+    return span(ctx, spec.n - 1, gens)
 
 
 def apply_cover_map(spec: CoverSpec, vec: Vector) -> Vector:
@@ -340,43 +283,23 @@ def induced_deck_automorphism(spec: CoverSpec, alpha: Perm,
     ker = kernel(spec, strict)
     if not equal(act(alpha, ker), ker):
         return None
-    ctx = spec.ctx
-    p, k, n = ctx.p, ctx.k, ctx.modulus
+    p, n = spec.p, spec.ctx.modulus
     b = spec.n - 1
     t = len(spec.factor_orders)
-    emb = _embedded_rows(spec, spec.images[:b])
-    u, v, exps = _diagonalize(emb, b, t, ctx)
+    placed, pivots, _ = _eliminate_images(spec)
     tmat = action_matrix(alpha)
-    scales = [n // q for q in spec.factor_orders]
     rows = []
     for j, q in enumerate(spec.factor_orders):
-        target = [0] * t
-        target[j] = scales[j]
-        sol = _solve_row(target, u, v, exps, b, t, p, k, n)
-        if sol is None:
+        # Reducing (generator | 0) leaves (0 | -x) for a preimage x.
+        target = [0] * (t + b)
+        target[j] = n // q
+        left = _reduce_against(target, placed, pivots, p, n)
+        if any(left[:t]):
             raise CoverValidationError([NOT_SURJECTIVE], "generator has no preimage")
+        sol = [-x % n for x in left[t:]]
         moved = [sum(x * tmat[i][c] for i, x in enumerate(sol)) % n for c in range(b)]
         rows.append(apply_cover_map(spec, tuple(moved)))
     return tuple(rows)
-
-
-def _solve_row(target: list[int], u: list[list[int]], v: list[list[int]],
-               exps: list[int], nrows: int, ncols: int,
-               p: int, k: int, n: int) -> tuple[int, ...] | None:
-    """One solution x of x * M = target given the diagonalization of M."""
-    rhs = [sum(target[l] * v[l][j] for l in range(ncols)) % n for j in range(ncols)]
-    w = [0] * nrows
-    for idx, e in enumerate(exps):
-        pe = p ** e
-        if rhs[idx] % pe:
-            return None
-        w[idx] = rhs[idx] // pe
-    for j in range(len(exps), ncols):
-        if rhs[j] % n:
-            return None
-    return tuple(
-        sum(w[i] * u[i][j] for i in range(nrows)) % n for j in range(nrows)
-    )
 
 
 @dataclass(frozen=True)

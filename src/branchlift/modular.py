@@ -63,20 +63,24 @@ class ModulusContext:
         return f"Z/{self.modulus}"
 
 
+def _val(a: int, p: int, k: int) -> int:
+    """Valuation of a canonical residue mod p^k, with _val(0) = k."""
+    if a == 0:
+        return k
+    t = 0
+    while a % p == 0:
+        a //= p
+        t += 1
+    return t
+
+
 def valuation(a: int, ctx: ModulusContext) -> int:
     """Largest t <= k with p^t | a, on canonical residues; valuation(0) = k.
 
     The zero convention makes "p^t divides a" equivalent to
     "valuation(a) >= t" for every t <= k.
     """
-    a %= ctx.modulus
-    if a == 0:
-        return ctx.k
-    p, t = ctx.p, 0
-    while a % p == 0:
-        a //= p
-        t += 1
-    return t
+    return _val(a % ctx.modulus, ctx.p, ctx.k)
 
 
 def inv_unit(a: int, ctx: ModulusContext) -> int:
@@ -177,11 +181,6 @@ class Perm:
         return f"Perm({list(self.images)})"
 
 
-def perm_matrix(sigma: Perm) -> Matrix:
-    """Matrix of a permutation under the fixed row-vector convention."""
-    return sigma.matrix()
-
-
 def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -229,11 +228,6 @@ def reduce_mod(m: Matrix, ctx: ModulusContext) -> Matrix:
     """Map every entry to its canonical residue in [0, p^k)."""
     n = ctx.modulus
     return tuple(tuple(x % n for x in row) for row in m)
-
-
-def reduce_vec(v: Sequence[int], ctx: ModulusContext) -> Vector:
-    n = ctx.modulus
-    return tuple(x % n for x in v)
 
 
 def _require_unitriangular(q: Matrix) -> int:

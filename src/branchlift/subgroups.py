@@ -25,6 +25,7 @@ from .modular import (
     ModulusContext,
     Perm,
     Vector,
+    _val,
 )
 
 __all__ = [
@@ -42,16 +43,6 @@ __all__ = [
     "subgroup_to_json",
     "subgroup_from_json",
 ]
-
-
-def _val(a: int, p: int, k: int) -> int:
-    if a == 0:
-        return k
-    t = 0
-    while a % p == 0:
-        a //= p
-        t += 1
-    return t
 
 
 def _echelon(rows: list[list[int]], width: int, p: int, k: int, n: int) -> list[list[int]]:
@@ -282,23 +273,27 @@ class CanonicalForm:
             raise ValueError("column permutation size differs from width")
 
 
-def canonical_form(sub: Subgroup) -> CanonicalForm:
-    """Compute the normal form of a subgroup from its reduced basis.
+def _eliminate(rows: Iterable[Sequence[int]], cols: Iterable[int], p: int, k: int,
+               n: int) -> tuple[list[list[int]], list[tuple[int, int]], list[list[int]]]:
+    """Elimination by globally minimal p-valuation over the columns ``cols``.
 
-    Pivots are chosen greedily by minimal p-valuation (ties broken by
-    smallest column, then topmost row), each pivot column is moved to the
-    next position and eliminated from the remaining rows, and finally the
-    cofactor entries are reduced into their bounds by row operations.
+    Each step picks the entry of least valuation among the remaining rows
+    and columns (ties broken by smallest column, then topmost row), scales
+    its row so the pivot is exactly p^e, and clears that column from the
+    other remaining rows.  The pivot is minimal over everything left, so
+    every entry of the pivot row in ``cols`` is a multiple of p^e and each
+    elimination is an exact division.  Row operations act on whole rows,
+    columns outside ``cols`` included.
+
+    Returns the pivot rows in order, their (column, e) pairs, and the
+    nonzero rows left over, which vanish on ``cols``.
     """
-    ctx, m = sub.ctx, sub.width
-    p, k, n = ctx.p, ctx.k, ctx.modulus
-    work = [list(r) for r in sub.basis]
-    cols_left = list(range(m))
+    work = [list(r) for r in rows]
+    cols_left = list(cols)
     placed: list[list[int]] = []
-    col_order: list[int] = []
-    exps: list[int] = []
+    pivots: list[tuple[int, int]] = []
     while work:
-        best_v, best_c, best_r = k, m, len(work)
+        best_v, best_c, best_r = k, 0, 0
         for ri, r in enumerate(work):
             for c in cols_left:
                 a = r[c]
@@ -324,12 +319,25 @@ def canonical_form(sub: Subgroup) -> CanonicalForm:
                 rest.append(r)
         work = rest
         placed.append(piv)
-        col_order.append(best_c)
-        exps.append(best_v)
+        pivots.append((best_c, best_v))
         cols_left.remove(best_c)
+    return placed, pivots, work
+
+
+def canonical_form(sub: Subgroup) -> CanonicalForm:
+    """Compute the normal form of a subgroup from its reduced basis.
+
+    Pivots are chosen by ``_eliminate``, each pivot column is moved to the
+    next position, and finally the cofactor entries are reduced into their
+    bounds by row operations.
+    """
+    ctx, m = sub.ctx, sub.width
+    p, k, n = ctx.p, ctx.k, ctx.modulus
+    placed, pivots, _ = _eliminate(sub.basis, range(m), p, k, n)
     rank = len(placed)
-    col_order.extend(sorted(cols_left))
-    exps_full = exps + [k] * (m - rank)
+    col_order = [c for c, _ in pivots]
+    col_order += [c for c in range(m) if c not in col_order]
+    exps_full = [e for _, e in pivots] + [k] * (m - rank)
     # Rows in pivot-column order; triangular by construction.
     mat = [[row[c] for c in col_order] for row in placed]
     # Reduce each cofactor entry into [0, p^(e_j - e_i)) by subtracting

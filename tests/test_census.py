@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,7 @@ from branchlift import (
     verify_classification,
     write_atlas,
 )
+from branchlift import census
 from branchlift.census import atlas_filename
 
 
@@ -259,9 +261,45 @@ def test_atlas_byte_stability(tmp_path, census_cache):
     assert doc["params"]["strict"] is False
 
 
-def test_classify_deterministic_and_parallel_merge():
+def test_classify_deterministic():
     a = classify(3, 1, 4)
     b = classify(3, 1, 4)
     assert a.classes == b.classes and a.predicted == b.predicted
-    c = classify(3, 1, 4, jobs=2)
-    assert c.classes == a.classes and c.match == a.match
+
+
+def test_atlas_write_failure_keeps_previous_file(tmp_path, census_cache, monkeypatch):
+    report = census_cache(2, 1, 3)
+    path = write_atlas(report, tmp_path)
+    before = path.read_bytes()
+    real_write_text = Path.write_text
+
+    def write_half_then_fail(self, data, *args, **kwargs):
+        real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_atlas(classify(2, 1, 3, strict=False), tmp_path)
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == [path.name]
+
+
+def test_verify_names_failing_generator_of_missing_prediction(monkeypatch):
+    # A made-up fourth family whose kernel is not invariant, so the census
+    # can never match it.
+    original = census.predict_liftable
+    bogus = CoverSpec(2, 2, 4, (2, 4), ((1, 1), (0, 1), (1, 1), (0, 1)))
+    ker = kernel(bogus)
+    verdict = fully_liftable(ker)
+    assert not verdict.liftable
+
+    def predict(p, k, n):
+        return original(p, k, n) + [census.Predicted(4, None, bogus)]
+
+    monkeypatch.setattr(census, "predict_liftable", predict)
+    summary = verify_classification([(2, 2, 4)])
+    assert not summary.all_match
+    (missing,) = summary.entries[0].mismatches
+    assert missing["kind"] == "missing_predicted_class"
+    assert missing["kernel"]["basis"] == [list(r) for r in ker.basis]
+    assert missing["witness"] == verdict.witness.cycles()

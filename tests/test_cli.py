@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import branchlift
 from branchlift.cli import main
 
 
@@ -182,11 +185,16 @@ def test_missing_args(capsys):
 
 
 def test_module_entry_point():
+    # the child process must import the same package as this one, which
+    # pytest's pythonpath setting alone does not pass on
+    src = str(Path(branchlift.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "branchlift", "check", "--p", "2", "--k", "1",
          "--n", "3", "--factors", "2,2", "--images", "1,0;0,1;1,1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "liftable" in proc.stdout

@@ -61,6 +61,16 @@ def test_constructor_checks():
     assert spec.images == ((1,), (3,), (0,))  # entries reduced mod factors
 
 
+def test_ctx_is_stored_once_and_not_compared():
+    spec = CoverSpec(2, 2, 4, (2, 4), ((1, 1), (0, 1), (0, 1), (1, 1)))
+    assert spec.ctx is spec.ctx
+    assert spec.ctx == ModulusContext(2, 2)
+    assert spec == MIXED_224 and hash(spec) == hash(MIXED_224)
+    assert "ctx" not in repr(spec)
+    with pytest.raises(ValueError, match="not prime"):
+        CoverSpec(4, 1, 3, (4,), ((1,), (1,), (2,)))
+
+
 def test_validate_examples():
     assert validate(case1_spec(2, 1, 3)) == []
     broken = CoverSpec(2, 1, 3, (2, 2), ((1, 0), (0, 1), (0, 0)))
@@ -88,15 +98,37 @@ def test_kernel_all_ones():
     assert equal(ker, span(Z3, 2, [(1, 2)]))
 
 
-def test_kernel_mixed_example_against_enumeration():
-    ker = kernel(MIXED_224)
-    assert order(ker) == 8
-    brute = {
-        v
-        for v in product(range(4), repeat=3)
-        if apply_cover_map(MIXED_224, v) == (0, 0)
-    }
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param(MIXED_224, id="mixed_224"),
+        pytest.param(ALL_ONES_3, id="all_ones_3"),
+        pytest.param(CoverSpec(3, 2, 4, (3, 9), ((1, 1), (0, 3), (1, 2), (1, 3))), id="p3_mixed"),
+        pytest.param(CoverSpec(5, 1, 4, (5, 5), ((1, 0), (0, 1), (2, 3), (2, 1))), id="p5_rank2"),
+        # second pivot of the first two images is 10 = 5 * unit in Z/25
+        pytest.param(CoverSpec(5, 2, 3, (5, 25), ((1, 1), (2, 5), (2, 19))), id="p5_nonunit_pivot"),
+        pytest.param(
+            CoverSpec(2, 2, 5, (2, 2, 4), ((1, 0, 1), (0, 1, 1), (1, 1, 2), (0, 0, 3), (0, 0, 1))),
+            id="p2_three_factors",
+        ),
+        pytest.param(
+            CoverSpec(3, 2, 4, (3, 3, 9), ((1, 0, 1), (0, 1, 2), (1, 1, 4), (1, 1, 2))),
+            id="p3_three_factors",
+        ),
+        pytest.param(
+            CoverSpec(2, 3, 4, (2, 4, 8), ((1, 0, 1), (0, 1, 2), (1, 1, 4), (0, 2, 1))),
+            id="k3_three_orders",
+        ),
+    ],
+)
+def test_kernel_against_enumeration(spec):
+    assert validate(spec) == []
+    pk, b = spec.p**spec.k, spec.n - 1
+    zero = (0,) * len(spec.factor_orders)
+    brute = {v for v in product(range(pk), repeat=b) if apply_cover_map(spec, v) == zero}
+    ker = kernel(spec)
     assert set(elements(ker)) == brute
+    assert order(ker) * deck_group_order(spec) == pk**b
 
 
 def test_first_isomorphism_for_predictions():
@@ -244,7 +276,10 @@ def test_induced_automorphism_negation_two_points():
 def test_induced_automorphism_defining_property():
     from branchlift.action import action_matrix
 
-    specs = [ALL_ONES_3, MIXED_224, case1_spec(2, 2, 4)]
+    three_factors = CoverSpec(
+        2, 2, 4, (2, 2, 4), ((1, 0, 1), (0, 1, 1), (0, 0, 1), (1, 1, 1))
+    )
+    specs = [ALL_ONES_3, MIXED_224, case1_spec(2, 2, 4), three_factors]
     for spec in specs:
         b = spec.n - 1
         n_mod = spec.p**spec.k

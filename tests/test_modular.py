@@ -14,7 +14,6 @@ from branchlift import (
     matadd,
     matmul,
     matsub,
-    perm_matrix,
     reduce_mod,
     valuation,
 )
@@ -84,9 +83,9 @@ def test_perm_basics():
 
 
 def test_perm_matrix_examples():
-    assert perm_matrix(Perm.identity(3)) == identity_matrix(3)
+    assert Perm.identity(3).matrix() == identity_matrix(3)
     # entry (1,2) is delta_{1, sigma(2)} = 1 for the transposition
-    assert perm_matrix(Perm.transposition(2, 1, 2)) == ((0, 1), (1, 0))
+    assert Perm.transposition(2, 1, 2).matrix() == ((0, 1), (1, 0))
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -94,7 +93,7 @@ def test_perm_matrix_homomorphism(m):
     perms = all_perms(m)
     for s in perms:
         for t in perms:
-            assert perm_matrix(s * t) == matmul(perm_matrix(s), perm_matrix(t))
+            assert (s * t).matrix() == matmul(s.matrix(), t.matrix())
 
 
 def test_elementary_matrix():
