@@ -46,7 +46,6 @@ from .action import (
     OmegaNotIdentityError,
     act,
     action_matrix,
-    decompose,
     divisibility_criterion,
     fully_liftable,
     generators,

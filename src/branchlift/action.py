@@ -3,8 +3,9 @@
 With n = b + 1 marked points, the loop classes around the first b points
 form a basis of the first homology with Z/p^k coefficients; the loop
 around the last point is minus their sum.  Permuting the points therefore
-acts by integer matrices on row vectors, and a subgroup is carried to the
-span of its basis times the action matrix.
+relabels coordinates: extending a row x by x_n = 0, alpha sends x to y
+with y_j = x_alpha(j) - x_alpha(n), and a subgroup is carried to the span
+of its moved basis rows.
 
 A cover lifts every homeomorphism preserving the marked points exactly
 when its kernel subgroup is invariant under this whole action; since the
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .modular import (
     Matrix,
@@ -33,7 +35,6 @@ __all__ = [
     "LiftVerdict",
     "swap_with_last",
     "action_matrix",
-    "decompose",
     "generators",
     "act",
     "invariant_under",
@@ -54,46 +55,30 @@ def swap_with_last(i: int, b: int) -> Perm:
     return Perm.transposition(b + 1, i, b + 1)
 
 
-def _swap_matrix(u: int, b: int) -> Matrix:
-    # Swapping point u with the last point sends its basis class to minus
-    # the sum of all classes: row u becomes all -1, other rows stay.
-    rows = [[1 if i == j else 0 for j in range(b)] for i in range(b)]
-    rows[u - 1] = [-1] * b
-    return tuple(tuple(r) for r in rows)
-
-
-def decompose(alpha: Perm) -> tuple[int | None, Perm]:
-    """Split alpha in S_{b+1} as (last-point swap) composed with S_b.
-
-    Returns (None, alpha) when alpha already fixes the last point, else
-    the unique (u, sigma) with sigma fixing the last point and
-    alpha = swap_with_last(u) * sigma.
-    """
-    b = alpha.size - 1
-    last = alpha(b + 1)
-    if last == b + 1:
-        return None, alpha
-    u = last
-    sigma = swap_with_last(u, b) * alpha
-    return u, sigma
+def _moved_row(alpha: Perm, row: Sequence[int], n: int) -> list[int]:
+    """Image of a row vector under alpha, reduced mod n."""
+    ext = (*row, 0)
+    last = ext[alpha.images[-1] - 1]
+    return [(ext[a - 1] - last) % n for a in alpha.images[:-1]]
 
 
 @lru_cache(maxsize=65536)
 def action_matrix(alpha: Perm) -> Matrix:
     """The b x b integer matrix by which alpha acts on row vectors.
 
-    Restricted to permutations fixing the last point this is the standard
-    permutation-matrix embedding, and the map is a homomorphism for
-    function composition.
+    Entry (i, j) is [i = alpha(j)] - [i = alpha(n)], the row formula of
+    the module docstring written as a matrix.  Restricted to permutations
+    fixing the last point this is the permutation-matrix embedding, and
+    the map is a homomorphism for function composition.
     """
     b = alpha.size - 1
     if b < 1:
         raise ValueError("need at least two marked points")
-    u, sigma = decompose(alpha)
-    base = tuple(tuple(row[:b]) for row in sigma.matrix()[:b])
-    if u is None:
-        return base
-    return matmul(_swap_matrix(u, b), base)
+    last = alpha(b + 1)
+    return tuple(
+        tuple((i == alpha(j)) - (i == last) for j in range(1, b + 1))
+        for i in range(1, b + 1)
+    )
 
 
 def generators(b: int) -> list[Perm]:
@@ -113,13 +98,8 @@ def act(alpha: Perm, sub: Subgroup) -> Subgroup:
         raise ValueError(
             f"permutation of {alpha.size} points cannot act on rank {sub.width}"
         )
-    t = action_matrix(alpha)
     n = sub.ctx.modulus
-    rows = [
-        tuple(sum(x * t[i][j] for i, x in enumerate(row)) % n for j in range(sub.width))
-        for row in sub.basis
-    ]
-    return span(sub.ctx, sub.width, rows)
+    return span(sub.ctx, sub.width, [_moved_row(alpha, row, n) for row in sub.basis])
 
 
 def invariant_under(sub: Subgroup, alpha: Perm) -> bool:

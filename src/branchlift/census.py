@@ -21,7 +21,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -82,21 +82,6 @@ def _check_bound(p: int, k: int, b: int, bound: int) -> None:
         )
 
 
-def _weakly_increasing(length: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    """All weakly increasing tuples of the given length with entries in
-    [lo, hi]."""
-    if length == 0:
-        yield ()
-        return
-    def rec(prefix: tuple[int, ...], start: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == length:
-            yield prefix
-            return
-        for e in range(start, hi + 1):
-            yield from rec(prefix + (e,), e)
-    yield from rec((), lo)
-
-
 def _identity_forms(ctx: ModulusContext, width: int,
                     max_rank: int | None = None) -> Iterator[CanonicalForm]:
     """All normal forms with trivial column permutation, in a fixed order.
@@ -110,7 +95,7 @@ def _identity_forms(ctx: ModulusContext, width: int,
     top = width if max_rank is None else max_rank
     ident = Perm.identity(width)
     for rank in range(top + 1):
-        for exps in _weakly_increasing(rank, 0, k - 1):
+        for exps in combinations_with_replacement(range(k), rank):
             full = exps + (k,) * (width - rank)
             free = [
                 (i, j, p ** (full[j] - full[i]))
@@ -287,22 +272,17 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
     ctx = ModulusContext(p, k)
     start = time.perf_counter()
 
-    seen: set[Matrix] = set()
-    kernels: list[Subgroup] = []
-    for sub in map(rebuild, _identity_forms(ctx, b, max_rank=b - 1)):
-        if sub.basis not in seen:
-            seen.add(sub.basis)
-            kernels.append(sub)
-
     gens = generators(b)
+    points = _point_classes(ctx, b)
     visited: set[Matrix] = set()
-    orbits: list[list[Subgroup]] = []
-    for sub in kernels:
-        if sub.basis in visited:
+    records = []
+    dropped = 0
+    for seed in map(rebuild, _identity_forms(ctx, b, max_rank=b - 1)):
+        if seed.basis in visited:
             continue
-        orbit = [sub]
-        visited.add(sub.basis)
-        frontier = [sub]
+        orbit = [seed]
+        visited.add(seed.basis)
+        frontier = [seed]
         while frontier:
             nxt = []
             for cur in frontier:
@@ -313,12 +293,6 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
                         orbit.append(moved)
                         nxt.append(moved)
             frontier = nxt
-        orbits.append(orbit)
-
-    points = _point_classes(ctx, b)
-    records = []
-    dropped = 0
-    for orbit in orbits:
         rep = min(orbit, key=lambda s: s.basis)
         if strict and any(contains(rep, v) for v in points):
             dropped += 1
@@ -326,17 +300,12 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
         verdict = fully_liftable(rep)
         if verdict.liftable != (len(orbit) == 1):
             raise AssertionError("orbit size disagrees with the generator check")
-        form = canonical_form(rep)
-        if form.colperm.is_identity:
-            norm_form = form
-        else:
-            _, norm_form = omega_normalize(rep)
-        cover = cover_from_form(norm_form, n)
+        _, norm_form = omega_normalize(rep)
         records.append(
             CoverClass(
                 kernel=rep,
-                form=form,
-                cover=cover,
+                form=canonical_form(rep),
+                cover=cover_from_form(norm_form, n),
                 liftable=verdict.liftable,
                 witness=verdict.witness,
                 size=len(orbit),
@@ -511,13 +480,8 @@ def structural_audit(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
         report = classify(p, k, n, bound=bound, strict=strict)
     entries = []
     for rec in report.liftable_classes:
-        form = rec.form
-        if not form.colperm.is_identity:
-            _, form = omega_normalize(rec.kernel)
-        if form.colperm.is_identity:
-            violations = structure_violations(form.exponents, form.upper, n, p, k)
-        else:
-            violations = ["column permutation did not normalize"]
+        _, form = omega_normalize(rec.kernel)
+        violations = structure_violations(form.exponents, form.upper, n, p, k)
         entries.append(AuditEntry(kernel=rec.kernel, violations=tuple(violations)))
     return AuditReport(p=p, k=k, n=n, entries=tuple(entries))
 

@@ -423,8 +423,8 @@ def main(argv: list[str] | None = None) -> int:
             return _fail(f"--{name} must be positive", 2)
     if args.command in ("classify",) and (args.p is None or args.k is None or args.n is None):
         return _fail("classify needs --p --k --n", 2)
-    if args.command == "audit" and args.n is not None and (args.p is None or args.k is None):
-        return _fail("audit with --n needs --p and --k too", 2)
+    if args.command == "audit" and len({args.p is None, args.k is None, args.n is None}) > 1:
+        return _fail("audit takes --p, --k and --n together or none of them", 2)
     try:
         return args.func(args)
     except (ValueError, CoverValidationError) as exc:

@@ -26,7 +26,7 @@ from .subgroups import (
     order,
     span,
 )
-from .action import act, action_matrix
+from .action import _moved_row, act
 
 __all__ = [
     "CoverValidationError",
@@ -287,7 +287,6 @@ def induced_deck_automorphism(spec: CoverSpec, alpha: Perm,
     b = spec.n - 1
     t = len(spec.factor_orders)
     placed, pivots, _ = _eliminate_images(spec)
-    tmat = action_matrix(alpha)
     rows = []
     for j, q in enumerate(spec.factor_orders):
         # Reducing (generator | 0) leaves (0 | -x) for a preimage x.
@@ -296,9 +295,8 @@ def induced_deck_automorphism(spec: CoverSpec, alpha: Perm,
         left = _reduce_against(target, placed, pivots, p, n)
         if any(left[:t]):
             raise CoverValidationError([NOT_SURJECTIVE], "generator has no preimage")
-        sol = [-x % n for x in left[t:]]
-        moved = [sum(x * tmat[i][c] for i, x in enumerate(sol)) % n for c in range(b)]
-        rows.append(apply_cover_map(spec, tuple(moved)))
+        sol = [-x for x in left[t:]]
+        rows.append(apply_cover_map(spec, tuple(_moved_row(alpha, sol, n))))
     return tuple(rows)
 
 

@@ -145,14 +145,6 @@ class Perm:
             raise ValueError("cannot extend to a smaller symbol set")
         return Perm(self.images + tuple(range(self.size + 1, m + 1)))
 
-    def matrix(self) -> Matrix:
-        """Embedding into GL(m, Z): entry (i, j) is 1 exactly when i = s(j)."""
-        m = self.size
-        rows = [[0] * m for _ in range(m)]
-        for j in range(1, m + 1):
-            rows[self(j) - 1][j - 1] = 1
-        return tuple(tuple(r) for r in rows)
-
     def cycles(self) -> str:
         """Cycle notation, fixed points omitted; identity prints as "()"."""
         seen: set[int] = set()

@@ -45,15 +45,22 @@ __all__ = [
 ]
 
 
-def _echelon(rows: list[list[int]], width: int, p: int, k: int, n: int) -> list[list[int]]:
-    """Row echelon form with pivots normalized to exact powers of p.
+def _echelon(rows: list[list[int]], width: int, p: int, k: int,
+             n: int) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """Howell-closed row echelon form with pivots normalized to powers of p.
 
     Pivoting always picks a minimal-valuation entry in the current column,
     so every other entry in that column is an exact integer multiple of the
-    pivot and elimination needs no gcd steps.
+    pivot and elimination needs no gcd steps.  A pivot p^e with e > 0 also
+    leaves its annihilator multiple p^(k-e) * row in the pool; that shadow
+    vanishes on this column and every earlier one, so later columns absorb
+    it and the span stays closed in one pass.
+
+    Returns the pivot rows and their (column, e) pairs.
     """
     pool = [r for r in rows if any(r)]
     out: list[list[int]] = []
+    pivots: list[tuple[int, int]] = []
     for col in range(width):
         best = -1
         best_v = k
@@ -81,9 +88,15 @@ def _echelon(rows: list[list[int]], width: int, p: int, k: int, n: int) -> list[
                 r = [(x - c * y) % n for x, y in zip(r, piv)]
             if any(r):
                 nxt.append(r)
+        if best_v:
+            ann = p ** (k - best_v)
+            shadow = [(x * ann) % n for x in piv]
+            if any(shadow):
+                nxt.append(shadow)
         pool = nxt
         out.append(piv)
-    return out
+        pivots.append((col, best_v))
+    return out, pivots
 
 
 def _reduce_against(vec: list[int], basis: Sequence[Sequence[int]],
@@ -121,23 +134,8 @@ def howell_reduce(ctx: ModulusContext, width: int, rows: Iterable[Sequence[int]]
         if len(row) != width:
             raise ValueError(f"row width {len(row)} differs from {width}")
         work.append([x % n for x in row])
-    basis = _echelon(work, width, p, k, n)
-    # Close the span representation under annihilator multiples: a pivot
-    # p^e leaves a shadow p^(k-e) * row that may carry new pivots further
-    # right.  Iterate until nothing new appears.
-    while True:
-        pivots = _pivots(basis, p, k)
-        extra = []
-        for row, (_, e) in zip(basis, pivots):
-            if e:
-                s = [(x * p ** (k - e)) % n for x in row]
-                if any(_reduce_against(s, basis, pivots, p, n)):
-                    extra.append(s)
-        if not extra:
-            break
-        basis = _echelon(basis + extra, width, p, k, n)
+    basis, pivots = _echelon(work, width, p, k, n)
     # Reduce entries above each pivot below that pivot's power of p.
-    pivots = _pivots(basis, p, k)
     for t in range(len(basis)):
         col, e = pivots[t]
         pe = p ** e

@@ -7,7 +7,6 @@ from branchlift import (
     act,
     action_matrix,
     canonical_form,
-    decompose,
     divisibility_criterion,
     elementary_matrix,
     enumerate_subgroups,
@@ -102,31 +101,6 @@ def test_swap_factorization_identity(b):
             assert lhs == rhs
 
 
-def test_decompose_examples():
-    s = Perm.transposition(3, 1, 2)
-    u, sigma = decompose(s)
-    assert u is None and sigma == s
-    eta1 = swap_with_last(1, 2)
-    u, sigma = decompose(eta1)
-    assert u == 1 and sigma.is_identity
-    alpha = eta1 * s
-    u, sigma = decompose(alpha)
-    assert u == 1 and sigma == s
-    assert swap_with_last(u, 2) * sigma == alpha
-
-
-@pytest.mark.parametrize("b", [1, 2, 3, 4])
-def test_decompose_recomposes(b):
-    for alpha in all_perms(b + 1):
-        u, sigma = decompose(alpha)
-        assert sigma(b + 1) == b + 1
-        if u is None:
-            assert sigma == alpha
-        else:
-            assert 1 <= u <= b
-            assert swap_with_last(u, b) * sigma == alpha
-
-
 def _closure_size(gens):
     seen = set(gens)
     frontier = list(seen)
@@ -159,6 +133,23 @@ def test_act_examples():
     assert equal(act(swap_with_last(2, 2), c), c)
     with pytest.raises(ValueError):
         act(Perm.identity(4), c)
+
+
+@pytest.mark.parametrize("p,k,b", [(2, 1, 3), (2, 2, 2), (3, 1, 2)])
+def test_act_agrees_with_action_matrix(p, k, b):
+    # act moves rows by the coordinate formula; the matrix is built
+    # entry by entry, so the two share no code
+    ctx = ModulusContext(p, k)
+    n = ctx.modulus
+    for f in enumerate_subgroups(p, k, b):
+        sub = rebuild(f)
+        for alpha in all_perms(b + 1):
+            t = action_matrix(alpha)
+            rows = [
+                [sum(x * t[i][j] for i, x in enumerate(row)) % n for j in range(b)]
+                for row in sub.basis
+            ]
+            assert act(alpha, sub) == span(ctx, b, rows)
 
 
 def test_act_is_group_action_exhaustive():

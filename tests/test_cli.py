@@ -177,6 +177,15 @@ def test_audit_grid(capsys):
     assert code == 0
 
 
+def test_audit_rejects_partial_point(capsys):
+    # a partial point would otherwise fall back silently to the default grid
+    for args in (["--p", "2", "--k", "2"], ["--p", "2"], ["--k", "2"], ["--n", "4"]):
+        code, out, err = run_cli(capsys, "audit", *args)
+        assert code == 2
+        assert out == ""
+        assert "--n" in json.loads(err)["error"]
+
+
 def test_missing_args(capsys):
     code, _, err = run_cli(capsys, "classify", "--p", "2", "--k", "1")
     assert code == 2

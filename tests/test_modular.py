@@ -17,7 +17,6 @@ from branchlift import (
     reduce_mod,
     valuation,
 )
-from conftest import all_perms
 
 SMALL_CONTEXTS = [
     ModulusContext(p, k)
@@ -80,20 +79,6 @@ def test_perm_basics():
     assert c.extend(5)(5) == 5
     with pytest.raises(ValueError):
         Perm([1, 1, 2])
-
-
-def test_perm_matrix_examples():
-    assert Perm.identity(3).matrix() == identity_matrix(3)
-    # entry (1,2) is delta_{1, sigma(2)} = 1 for the transposition
-    assert Perm.transposition(2, 1, 2).matrix() == ((0, 1), (1, 0))
-
-
-@pytest.mark.parametrize("m", [3, 4])
-def test_perm_matrix_homomorphism(m):
-    perms = all_perms(m)
-    for s in perms:
-        for t in perms:
-            assert (s * t).matrix() == matmul(s.matrix(), t.matrix())
 
 
 def test_elementary_matrix():

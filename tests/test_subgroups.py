@@ -69,18 +69,26 @@ def test_howell_examples():
 @settings(max_examples=120, deadline=None)
 @given(
     data=st.data(),
-    ctx=st.sampled_from([Z2, Z4, Z3, ModulusContext(2, 3), ModulusContext(5, 1)]),
+    ctx=st.sampled_from([Z2, Z4, Z3, ModulusContext(2, 3), ModulusContext(5, 1),
+                         ModulusContext(2, 4), ModulusContext(3, 2)]),
     width=st.integers(1, 3),
 )
 def test_howell_idempotent_and_span_preserving(data, ctx, width):
-    nrows = data.draw(st.integers(0, 3))
+    nrows = data.draw(st.integers(0, 4))
     rows = [
         [data.draw(st.integers(0, ctx.modulus - 1)) for _ in range(width)]
         for _ in range(nrows)
     ]
     basis = howell_reduce(ctx, width, rows)
     assert howell_reduce(ctx, width, basis) == basis
-    assert brute_span(ctx, width, basis) == brute_span(ctx, width, rows)
+    full = brute_span(ctx, width, rows)
+    assert brute_span(ctx, width, basis) == full
+    # Howell property: the elements vanishing left of a column are spanned
+    # by the basis rows pivoting at or after it
+    leads = [next(j for j, x in enumerate(row) if x) for row in basis]
+    for c in range(1, width):
+        tail = [row for row, lead in zip(basis, leads) if lead >= c]
+        assert {v for v in full if not any(v[:c])} == brute_span(ctx, width, tail)
 
 
 @settings(max_examples=100, deadline=None)
