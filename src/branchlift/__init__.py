@@ -15,14 +15,10 @@ from .modular import (
     NotUnitriangularError,
     Perm,
     Vector,
-    elementary_matrix,
-    identity_matrix,
     inv_unit,
     inv_unitriangular,
     inv_unitriangular_int,
-    matadd,
     matmul,
-    matsub,
     reduce_mod,
     valuation,
 )

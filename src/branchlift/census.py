@@ -123,27 +123,39 @@ def enumerate_subgroups(p: int, k: int, b: int,
     """Normal forms of all subgroups of (Z/p^k)^b, one per subgroup.
 
     Spans of trivial-column-permutation forms are closed under adjacent
-    column swaps; deduplication is by reduced basis.
+    column swaps; deduplication is by reduced basis.  Swaps are
+    involutions, so a swap already seen to carry one subgroup to another
+    is not applied back (``known`` holds those swaps as a bitmask for each
+    queued subgroup not yet expanded).
     """
     _check_bound(p, k, b, bound)
     ctx = ModulusContext(p, k)
     seen: set[Matrix] = set()
+    known: dict[Matrix, int] = {}
     queue: list[Subgroup] = []
     for form in _identity_forms(ctx, b):
         sub = rebuild(form)
         if sub.basis not in seen:
             seen.add(sub.basis)
+            known[sub.basis] = 0
             queue.append(sub)
             yield canonical_form(sub)
-    swaps = [Perm.transposition(b + 1, i, i + 1) for i in range(1, b)]
+    swaps = list(enumerate(Perm.transposition(b + 1, i, i + 1) for i in range(1, b)))
     idx = 0
     while idx < len(queue):
         sub = queue[idx]
         idx += 1
-        for tau in swaps:
+        done = known.pop(sub.basis)
+        for i, tau in swaps:
+            if done >> i & 1:
+                continue
             moved = act(tau, sub)
-            if moved.basis not in seen:
-                seen.add(moved.basis)
+            basis = moved.basis
+            if basis in known:
+                known[basis] |= 1 << i
+            elif basis not in seen:
+                seen.add(basis)
+                known[basis] = 1 << i
                 queue.append(moved)
                 yield canonical_form(moved)
 
@@ -272,9 +284,13 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
     ctx = ModulusContext(p, k)
     start = time.perf_counter()
 
-    gens = generators(b)
+    gens = list(enumerate(generators(b)))
     points = _point_classes(ctx, b)
     visited: set[Matrix] = set()
+    # Found but not yet expanded -> bitmask of generators whose image is
+    # already known.  Every generator is a transposition, so act(g, x) = y
+    # also gives act(g, y) = x, and each orbit edge is walked once.
+    known: dict[Matrix, int] = {}
     records = []
     dropped = 0
     for seed in map(rebuild, _identity_forms(ctx, b, max_rank=b - 1)):
@@ -282,14 +298,22 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
             continue
         orbit = [seed]
         visited.add(seed.basis)
+        known[seed.basis] = 0
         frontier = [seed]
         while frontier:
             nxt = []
             for cur in frontier:
-                for g in gens:
+                done = known.pop(cur.basis)
+                for i, g in gens:
+                    if done >> i & 1:
+                        continue
                     moved = act(g, cur)
-                    if moved.basis not in visited:
-                        visited.add(moved.basis)
+                    basis = moved.basis
+                    if basis in known:
+                        known[basis] |= 1 << i
+                    elif basis not in visited:
+                        visited.add(basis)
+                        known[basis] = 1 << i
                         orbit.append(moved)
                         nxt.append(moved)
             frontier = nxt

@@ -173,20 +173,6 @@ class Perm:
         return f"Perm({list(self.images)})"
 
 
-def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def elementary_matrix(u: int, v: int, size: int) -> Matrix:
-    """The size x size matrix with a single 1 at (u, v), 1-indexed."""
-    if not (1 <= u <= size and 1 <= v <= size):
-        raise ValueError(f"entry ({u}, {v}) out of range for size {size}")
-    return tuple(
-        tuple(1 if (i == u - 1 and j == v - 1) else 0 for j in range(size))
-        for i in range(size)
-    )
-
-
 def _check_rect(m: Sequence[Sequence[int]]) -> None:
     if m and any(len(row) != len(m[0]) for row in m):
         raise ValueError("ragged matrix")
@@ -202,18 +188,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
     )
-
-
-def matadd(a: Matrix, b: Matrix) -> Matrix:
-    if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
-        raise ValueError("dimension mismatch in matrix sum")
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def matsub(a: Matrix, b: Matrix) -> Matrix:
-    if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
-        raise ValueError("dimension mismatch in matrix difference")
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def reduce_mod(m: Matrix, ctx: ModulusContext) -> Matrix:

@@ -146,6 +146,11 @@ def howell_reduce(ctx: ModulusContext, width: int, rows: Iterable[Sequence[int]]
     return tuple(tuple(r) for r in basis)
 
 
+def _check_width(width: int) -> None:
+    if not (1 <= width <= MAX_RANK):
+        raise ValueError(f"ambient rank {width} out of range 1..{MAX_RANK}")
+
+
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup of (Z/p^k)^width held by its Howell-reduced basis.
@@ -159,8 +164,7 @@ class Subgroup:
     basis: Matrix
 
     def __post_init__(self) -> None:
-        if not (1 <= self.width <= MAX_RANK):
-            raise ValueError(f"ambient rank {self.width} out of range 1..{MAX_RANK}")
+        _check_width(self.width)
         n = self.ctx.modulus
         for row in self.basis:
             if len(row) != self.width:
@@ -173,8 +177,19 @@ class Subgroup:
 
 
 def span(ctx: ModulusContext, width: int, rows: Iterable[Sequence[int]]) -> Subgroup:
-    """The subgroup generated by the given row vectors."""
-    return Subgroup(ctx, width, howell_reduce(ctx, width, rows))
+    """The subgroup generated by the given row vectors.
+
+    A Howell basis already has the right width and canonical residues, so
+    the instance is filled in directly instead of re-checking every entry
+    in ``Subgroup.__post_init__``.
+    """
+    _check_width(width)
+    basis = howell_reduce(ctx, width, rows)
+    sub = object.__new__(Subgroup)
+    object.__setattr__(sub, "ctx", ctx)
+    object.__setattr__(sub, "width", width)
+    object.__setattr__(sub, "basis", basis)
+    return sub
 
 
 def _same_ambient(a: Subgroup, b: Subgroup) -> None:

@@ -1,15 +1,16 @@
-"""Shared fixtures and independent brute-force oracles.
+"""Shared fixtures, independent oracles and small matrix helpers.
 
 The oracles here deliberately avoid the package's row-reduction code:
-spans are grown by closure under addition, so they can cross-check the
-reduced-basis machinery without sharing a code path with it.
+spans are grown by closure under addition and subgroups are counted by a
+closed formula, so they can cross-check the reduced-basis machinery
+without sharing a code path with it.
 """
 
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from branchlift import ModulusContext, Perm, classify
+from branchlift import Matrix, ModulusContext, Perm, classify
 
 
 def brute_span(ctx: ModulusContext, width: int, rows) -> frozenset:
@@ -49,6 +50,63 @@ def brute_all_subgroups(ctx: ModulusContext, width: int) -> set[frozenset]:
 
 def all_perms(m: int) -> list[Perm]:
     return [Perm(images) for images in permutations(range(1, m + 1))]
+
+
+def gaussian_binomial(n: int, r: int, p: int) -> int:
+    """Number of r-dimensional subspaces of (Z/p)^n."""
+    out = 1
+    for i in range(r):
+        # Each partial product is itself a Gaussian binomial, so the
+        # division is exact.
+        out = out * (p ** (n - i) - 1) // (p ** (i + 1) - 1)
+    return out
+
+
+def subgroup_count(p: int, k: int, b: int) -> int:
+    """Number of subgroups of (Z/p^k)^b, by Birkhoff's formula.
+
+    A subgroup's type mu has conjugate (c_1 >= ... >= c_k >= 0) with
+    c_1 <= b, and the ambient type (k^b) has every conjugate part equal to
+    b; the subgroups of that type number
+    prod_i p^(c_(i+1) * (b - c_i)) * [b - c_(i+1) choose c_i - c_(i+1)]_p
+    with c_(k+1) = 0 (Birkhoff 1935; Butler, Mem. AMS 1994).
+    """
+    total = 0
+    for conj in combinations_with_replacement(range(b, -1, -1), k):
+        c = conj + (0,)
+        term = 1
+        for i in range(k):
+            term *= p ** (c[i + 1] * (b - c[i])) * gaussian_binomial(
+                b - c[i + 1], c[i] - c[i + 1], p
+            )
+        total += term
+    return total
+
+
+def identity_matrix(n: int) -> Matrix:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def elementary_matrix(u: int, v: int, size: int) -> Matrix:
+    """The size x size matrix with a single 1 at (u, v), 1-indexed."""
+    if not (1 <= u <= size and 1 <= v <= size):
+        raise ValueError(f"entry ({u}, {v}) out of range for size {size}")
+    return tuple(
+        tuple(1 if (i == u - 1 and j == v - 1) else 0 for j in range(size))
+        for i in range(size)
+    )
+
+
+def matadd(a: Matrix, b: Matrix) -> Matrix:
+    if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
+        raise ValueError("dimension mismatch in matrix sum")
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def matsub(a: Matrix, b: Matrix) -> Matrix:
+    if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
+        raise ValueError("dimension mismatch in matrix difference")
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 #: (p, k, n, expected number of fully liftable classes)

@@ -18,15 +18,11 @@ from branchlift import (
     canonical_form,
     deck_group_order,
     divisibility_criterion,
-    elementary_matrix,
     enumerate_subgroups,
     equal,
     fully_liftable,
-    identity_matrix,
     invariant_under,
     kernel,
-    matadd,
-    matsub,
     omega_normalize,
     order,
     rebuild,
@@ -34,7 +30,16 @@ from branchlift import (
     swap_with_last,
     validate,
 )
-from conftest import ACCEPTANCE_GRID, all_perms, brute_span
+from conftest import (
+    ACCEPTANCE_GRID,
+    all_perms,
+    brute_span,
+    elementary_matrix,
+    identity_matrix,
+    matadd,
+    matsub,
+    subgroup_count,
+)
 
 # Ambient groups with order p^(k*b) <= 4096 swept exhaustively, with the
 # full permutation group in criteria 2 and 4.
@@ -129,20 +134,26 @@ def _bounds_hold(form) -> bool:
 def test_criterion_3_canonical_form_round_trip():
     checked = 0
     failures = 0
+    miscounted = []
     for p, k, b in ROUND_TRIP_SWEEP:
+        count = 0
         for form in enumerate_subgroups(p, k, b):
             sub = rebuild(form)
             again = canonical_form(sub)
-            checked += 1
+            count += 1
             if not (_bounds_hold(again) and equal(rebuild(again), sub)):
                 failures += 1
-    ok = failures == 0
+        checked += count
+        if count != subgroup_count(p, k, b):
+            miscounted.append((p, k, b, count))
+    ok = failures == 0 and not miscounted
     _report(
-        "criterion 3 (normal form round trip and bounds)",
+        "criterion 3 (normal form round trip, bounds and subgroup count)",
         ok,
-        f"{checked} subgroups, {failures} failures",
+        f"{checked} subgroups, {failures} failures, {len(miscounted)} miscounted groups",
     )
     assert failures == 0
+    assert not miscounted, miscounted
 
 
 def test_criterion_4_generator_sufficiency():

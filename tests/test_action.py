@@ -8,17 +8,13 @@ from branchlift import (
     action_matrix,
     canonical_form,
     divisibility_criterion,
-    elementary_matrix,
     enumerate_subgroups,
     equal,
     fully_liftable,
     generators,
-    identity_matrix,
     inv_unitriangular,
     invariant_under,
     matmul,
-    matsub,
-    matadd,
     omega_normalize,
     rebuild,
     reduce_mod,
@@ -26,7 +22,7 @@ from branchlift import (
     swap_with_last,
     valuation,
 )
-from conftest import all_perms
+from conftest import all_perms, elementary_matrix, identity_matrix, matadd, matsub
 
 Z4 = ModulusContext(2, 2)
 Z3 = ModulusContext(3, 1)

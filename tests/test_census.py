@@ -7,12 +7,15 @@ from branchlift import (
     BoundExceededError,
     CoverSpec,
     ModulusContext,
+    Perm,
+    act,
     classify,
     classify_two_points,
     enumerate_subgroups,
     equal,
     equivalent,
     fully_liftable,
+    generators,
     kernel,
     order,
     predict_liftable,
@@ -25,14 +28,75 @@ from branchlift import (
     verify_classification,
     write_atlas,
 )
-from branchlift import census
+from branchlift import action, census
 from branchlift.census import atlas_filename
+from conftest import ACCEPTANCE_GRID, all_perms, subgroup_count
 
 
 def test_enumerate_counts():
     assert sum(1 for _ in enumerate_subgroups(2, 1, 2)) == 5
     assert sum(1 for _ in enumerate_subgroups(2, 2, 1)) == 3
     assert sum(1 for _ in enumerate_subgroups(3, 1, 2)) == 6
+
+
+def test_subgroup_count_pinned_values():
+    assert subgroup_count(2, 1, 4) == 67
+    assert subgroup_count(2, 2, 5) == 55989
+    assert subgroup_count(3, 1, 2) == 6
+    assert subgroup_count(2, 0, 3) == 1
+
+
+@pytest.mark.parametrize("p,k,b", [(2, 1, 4), (2, 2, 3), (3, 1, 3), (2, 3, 2), (5, 1, 2)])
+def test_enumerate_totals_match_subgroup_count(p, k, b):
+    # A swap wrongly skipped by the walk would leave subgroups out.
+    assert sum(1 for _ in enumerate_subgroups(p, k, b)) == subgroup_count(p, k, b)
+
+
+@pytest.mark.parametrize("p,k,n", [pt[:3] for pt in ACCEPTANCE_GRID])
+def test_subgroups_seen_matches_subgroup_count(census_cache, p, k, n):
+    # The census walks the subgroups whose quotient has exponent exactly
+    # p^k; the others are the subgroups containing p^(k-1) times the
+    # ambient group, which correspond to subgroups of (Z/p^(k-1))^(n-1).
+    report = census_cache(p, k, n)
+    assert report.subgroups_seen == subgroup_count(p, k, n - 1) - subgroup_count(p, k - 1, n - 1)
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 4), (2, 2, 4), (3, 1, 4)])
+def test_class_sizes_are_whole_group_orbits(p, k, n):
+    # Orbits under every permutation of the points, with no walk at all.
+    report = classify(p, k, n, strict=False)
+    perms = all_perms(n)
+    for rec in report.classes:
+        assert rec.size == len({act(alpha, rec.kernel).basis for alpha in perms})
+    assert sum(rec.size for rec in report.classes) == report.subgroups_seen
+
+
+def test_generators_are_involutions():
+    for b in range(1, 7):
+        ident = Perm.identity(b + 1)
+        assert all(g * g == ident for g in generators(b))
+
+
+def test_orbit_walk_acts_along_each_edge_once(monkeypatch):
+    p, k, n = 2, 2, 5
+    b = n - 1
+    # The walked subgroups, listed without the walk: forms of rank below b
+    # are those whose quotient has exponent exactly p^k.
+    walked = [rebuild(f) for f in enumerate_subgroups(p, k, b) if f.rank < b]
+    fixed = sum(action.act(g, sub) == sub for sub in walked for g in generators(b))
+    calls = []
+    real_act = census.act
+
+    def counting_act(alpha, sub):
+        calls.append(alpha)
+        return real_act(alpha, sub)
+
+    monkeypatch.setattr(census, "act", counting_act)
+    report = classify(p, k, n)
+    assert report.subgroups_seen == len(walked)
+    # Each fixed pair costs one call, each other generator edge one call
+    # for its two ends.
+    assert len(calls) == fixed + (b * len(walked) - fixed) // 2
 
 
 def test_enumerate_emits_distinct_subgroups():

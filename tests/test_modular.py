@@ -7,16 +7,13 @@ from branchlift import (
     NonUnitError,
     NotUnitriangularError,
     Perm,
-    elementary_matrix,
-    identity_matrix,
     inv_unit,
     inv_unitriangular,
-    matadd,
     matmul,
-    matsub,
     reduce_mod,
     valuation,
 )
+from conftest import elementary_matrix, identity_matrix, matadd, matsub
 
 SMALL_CONTEXTS = [
     ModulusContext(p, k)

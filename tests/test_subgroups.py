@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchlift import (
+    MAX_RANK,
     CanonicalForm,
     ModulusContext,
     Perm,
@@ -16,6 +17,7 @@ from branchlift import (
     quotient_invariants,
     rebuild,
     span,
+    Subgroup,
     subgroup_from_json,
     subgroup_to_json,
 )
@@ -57,6 +59,24 @@ def test_span_width_checks():
         span(Z4, 2, [(1, 2, 3)])
     with pytest.raises(ValueError):
         span(Z4, 17, [])
+
+
+def test_trusted_span_keeps_its_guards():
+    # span skips the per-entry check of a direct construction, but not the
+    # width check; a direct construction still checks every entry.
+    with pytest.raises(ValueError):
+        Subgroup(ModulusContext(2, 2), 2, ((0, 4),))
+    with pytest.raises(ValueError):
+        Subgroup(Z4, 0, ())
+    with pytest.raises(ValueError):
+        span(Z4, 0, [])
+    with pytest.raises(ValueError):
+        span(Z4, MAX_RANK + 1, [])
+    for ctx, width in ((Z4, 1), (Z4, 3), (Z3, 2)):
+        for form in enumerate_subgroups(ctx.p, ctx.k, width):
+            sub = rebuild(form)
+            direct = Subgroup(ctx, width, sub.basis)
+            assert sub == direct and hash(sub) == hash(direct)
 
 
 def test_howell_examples():
