@@ -55,11 +55,12 @@ def swap_with_last(i: int, b: int) -> Perm:
     return Perm.transposition(b + 1, i, b + 1)
 
 
-def _moved_row(alpha: Perm, row: Sequence[int], n: int) -> list[int]:
-    """Image of a row vector under alpha, reduced mod n."""
+def _moved_row(alpha: Perm, row: Sequence[int]) -> list[int]:
+    """Image of a row vector under alpha, not reduced: each caller reduces
+    it once, mod the modulus or mod its factor orders."""
     ext = (*row, 0)
     last = ext[alpha.images[-1] - 1]
-    return [(ext[a - 1] - last) % n for a in alpha.images[:-1]]
+    return [ext[a - 1] - last for a in alpha.images[:-1]]
 
 
 @lru_cache(maxsize=65536)
@@ -98,8 +99,7 @@ def act(alpha: Perm, sub: Subgroup) -> Subgroup:
         raise ValueError(
             f"permutation of {alpha.size} points cannot act on rank {sub.width}"
         )
-    n = sub.ctx.modulus
-    return span(sub.ctx, sub.width, [_moved_row(alpha, row, n) for row in sub.basis])
+    return span(sub.ctx, sub.width, [_moved_row(alpha, row) for row in sub.basis])
 
 
 def invariant_under(sub: Subgroup, alpha: Perm) -> bool:

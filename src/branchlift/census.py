@@ -20,7 +20,8 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from collections import deque
+from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -118,46 +119,57 @@ def _identity_forms(ctx: ModulusContext, width: int,
                 )
 
 
+def _orbit(seed: Subgroup, gens: Sequence[Perm],
+           visited: set[Matrix]) -> Iterator[Subgroup]:
+    """The orbit of ``seed`` under the group ``gens`` generate, walked lazily.
+
+    Yields the seed, then each new subgroup breadth first as soon as it is
+    found, and adds every yielded basis to ``visited``.  Every generator
+    must be an involution: then act(g, x) = y also gives act(g, y) = x, so
+    ``known`` holds, for each found but not yet expanded subgroup, a bitmask
+    of the generators whose image is already known, and each orbit edge is
+    walked once.
+    """
+    indexed = list(enumerate(gens))
+    visited.add(seed.basis)
+    known = {seed.basis: 0}
+    yield seed
+    queue = deque([seed])
+    while queue:
+        cur = queue.popleft()
+        done = known.pop(cur.basis)
+        for i, g in indexed:
+            if done >> i & 1:
+                continue
+            moved = act(g, cur)
+            basis = moved.basis
+            if basis in known:
+                known[basis] |= 1 << i
+            elif basis not in visited:
+                visited.add(basis)
+                known[basis] = 1 << i
+                queue.append(moved)
+                yield moved
+
+
 def enumerate_subgroups(p: int, k: int, b: int,
                         bound: int = DEFAULT_BOUND) -> Iterator[CanonicalForm]:
     """Normal forms of all subgroups of (Z/p^k)^b, one per subgroup.
 
     Spans of trivial-column-permutation forms are closed under adjacent
-    column swaps; deduplication is by reduced basis.  Swaps are
-    involutions, so a swap already seen to carry one subgroup to another
-    is not applied back (``known`` holds those swaps as a bitmask for each
-    queued subgroup not yet expanded).
+    column swaps; deduplication is by reduced basis.  Forms come orbit by
+    orbit: the span of each trivial-column-permutation form not seen yet,
+    then the rest of its orbit under column permutations, breadth first.
     """
     _check_bound(p, k, b, bound)
     ctx = ModulusContext(p, k)
-    seen: set[Matrix] = set()
-    known: dict[Matrix, int] = {}
-    queue: list[Subgroup] = []
-    for form in _identity_forms(ctx, b):
-        sub = rebuild(form)
-        if sub.basis not in seen:
-            seen.add(sub.basis)
-            known[sub.basis] = 0
-            queue.append(sub)
+    swaps = [Perm.transposition(b + 1, i, i + 1) for i in range(1, b)]
+    visited: set[Matrix] = set()
+    for seed in map(rebuild, _identity_forms(ctx, b)):
+        if seed.basis in visited:
+            continue
+        for sub in _orbit(seed, swaps, visited):
             yield canonical_form(sub)
-    swaps = list(enumerate(Perm.transposition(b + 1, i, i + 1) for i in range(1, b)))
-    idx = 0
-    while idx < len(queue):
-        sub = queue[idx]
-        idx += 1
-        done = known.pop(sub.basis)
-        for i, tau in swaps:
-            if done >> i & 1:
-                continue
-            moved = act(tau, sub)
-            basis = moved.basis
-            if basis in known:
-                known[basis] |= 1 << i
-            elif basis not in seen:
-                seen.add(basis)
-                known[basis] = 1 << i
-                queue.append(moved)
-                yield canonical_form(moved)
 
 
 @dataclass(frozen=True)
@@ -284,39 +296,19 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
     ctx = ModulusContext(p, k)
     start = time.perf_counter()
 
-    gens = list(enumerate(generators(b)))
+    gens = generators(b)
     points = _point_classes(ctx, b)
+    predicted = predict_liftable(p, k, n)
+    predicted_bases = [kernel(pr.cover).basis for pr in predicted]
+    matched_predictions: set[int] = set()
+    all_matched = True
     visited: set[Matrix] = set()
-    # Found but not yet expanded -> bitmask of generators whose image is
-    # already known.  Every generator is a transposition, so act(g, x) = y
-    # also gives act(g, y) = x, and each orbit edge is walked once.
-    known: dict[Matrix, int] = {}
     records = []
     dropped = 0
     for seed in map(rebuild, _identity_forms(ctx, b, max_rank=b - 1)):
         if seed.basis in visited:
             continue
-        orbit = [seed]
-        visited.add(seed.basis)
-        known[seed.basis] = 0
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for cur in frontier:
-                done = known.pop(cur.basis)
-                for i, g in gens:
-                    if done >> i & 1:
-                        continue
-                    moved = act(g, cur)
-                    basis = moved.basis
-                    if basis in known:
-                        known[basis] |= 1 << i
-                    elif basis not in visited:
-                        visited.add(basis)
-                        known[basis] = 1 << i
-                        orbit.append(moved)
-                        nxt.append(moved)
-            frontier = nxt
+        orbit = list(_orbit(seed, gens, visited))
         rep = min(orbit, key=lambda s: s.basis)
         if strict and any(contains(rep, v) for v in points):
             dropped += 1
@@ -324,6 +316,15 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
         verdict = fully_liftable(rep)
         if verdict.liftable != (len(orbit) == 1):
             raise AssertionError("orbit size disagrees with the generator check")
+        family = family_param = None
+        if verdict.liftable:
+            hits = [i for i, basis in enumerate(predicted_bases) if basis == rep.basis]
+            if len(hits) == 1:
+                pr = predicted[hits[0]]
+                family, family_param = pr.family, pr.param
+                matched_predictions.add(hits[0])
+            else:
+                all_matched = False
         _, norm_form = omega_normalize(rep)
         records.append(
             CoverClass(
@@ -333,29 +334,11 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
                 liftable=verdict.liftable,
                 witness=verdict.witness,
                 size=len(orbit),
-                family=None,
-                family_param=None,
+                family=family,
+                family_param=family_param,
             )
         )
-
-    predicted = predict_liftable(p, k, n)
-    predicted_bases = [kernel(pr.cover).basis for pr in predicted]
-    matched_predictions: set[int] = set()
-    final = []
-    all_matched = True
-    for rec in sorted(records, key=lambda r: (order(r.kernel), r.kernel.basis)):
-        if rec.liftable:
-            hits = [
-                i for i, basis in enumerate(predicted_bases)
-                if basis == rec.kernel.basis
-            ]
-            if len(hits) == 1:
-                pr = predicted[hits[0]]
-                rec = replace(rec, family=pr.family, family_param=pr.param)
-                matched_predictions.add(hits[0])
-            else:
-                all_matched = False
-        final.append(rec)
+    records.sort(key=lambda r: (order(r.kernel), r.kernel.basis))
     match = all_matched and matched_predictions == set(range(len(predicted)))
 
     elapsed_ms = int((time.perf_counter() - start) * 1000)
@@ -365,7 +348,7 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
         n=n,
         bound=bound,
         strict=strict,
-        classes=tuple(final),
+        classes=tuple(records),
         predicted=tuple(predicted),
         match=match,
         subgroups_seen=len(visited),

@@ -296,7 +296,7 @@ def induced_deck_automorphism(spec: CoverSpec, alpha: Perm,
         if any(left[:t]):
             raise CoverValidationError([NOT_SURJECTIVE], "generator has no preimage")
         sol = [-x for x in left[t:]]
-        rows.append(apply_cover_map(spec, tuple(_moved_row(alpha, sol, n))))
+        rows.append(apply_cover_map(spec, tuple(_moved_row(alpha, sol))))
     return tuple(rows)
 
 

@@ -46,7 +46,11 @@ def test_subgroup_count_pinned_values():
     assert subgroup_count(2, 0, 3) == 1
 
 
-@pytest.mark.parametrize("p,k,b", [(2, 1, 4), (2, 2, 3), (3, 1, 3), (2, 3, 2), (5, 1, 2)])
+# Ambient groups (p, k, b) small enough to enumerate in full.
+ENUMERATED_GROUPS = [(2, 1, 4), (2, 2, 3), (3, 1, 3), (2, 3, 2), (5, 1, 2)]
+
+
+@pytest.mark.parametrize("p,k,b", ENUMERATED_GROUPS)
 def test_enumerate_totals_match_subgroup_count(p, k, b):
     # A swap wrongly skipped by the walk would leave subgroups out.
     assert sum(1 for _ in enumerate_subgroups(p, k, b)) == subgroup_count(p, k, b)
@@ -77,13 +81,21 @@ def test_generators_are_involutions():
         assert all(g * g == ident for g in generators(b))
 
 
-def test_orbit_walk_acts_along_each_edge_once(monkeypatch):
-    p, k, n = 2, 2, 5
-    b = n - 1
-    # The walked subgroups, listed without the walk: forms of rank below b
-    # are those whose quotient has exponent exactly p^k.
-    walked = [rebuild(f) for f in enumerate_subgroups(p, k, b) if f.rank < b]
-    fixed = sum(action.act(g, sub) == sub for sub in walked for g in generators(b))
+@pytest.mark.parametrize(
+    "walk,p,k,b", [("classify", 2, 2, 4), ("enumerate", 2, 2, 3), ("enumerate", 3, 1, 3)]
+)
+def test_orbit_walk_acts_along_each_edge_once(monkeypatch, walk, p, k, b):
+    # The walked subgroups and generators, listed without the walk.  The
+    # census walks the forms of rank below b, whose quotient has exponent
+    # exactly p^k, under generators(b); the enumeration walks every
+    # subgroup under the adjacent column swaps.
+    if walk == "classify":
+        walked = [rebuild(f) for f in enumerate_subgroups(p, k, b) if f.rank < b]
+        gens = generators(b)
+    else:
+        walked = [rebuild(f) for f in enumerate_subgroups(p, k, b)]
+        gens = [Perm.transposition(b + 1, i, i + 1) for i in range(1, b)]
+    fixed = sum(action.act(g, sub) == sub for sub in walked for g in gens)
     calls = []
     real_act = census.act
 
@@ -92,20 +104,24 @@ def test_orbit_walk_acts_along_each_edge_once(monkeypatch):
         return real_act(alpha, sub)
 
     monkeypatch.setattr(census, "act", counting_act)
-    report = classify(p, k, n)
-    assert report.subgroups_seen == len(walked)
+    if walk == "classify":
+        assert classify(p, k, b + 1).subgroups_seen == len(walked)
+    else:
+        assert sum(1 for _ in enumerate_subgroups(p, k, b)) == len(walked)
     # Each fixed pair costs one call, each other generator edge one call
     # for its two ends.
-    assert len(calls) == fixed + (b * len(walked) - fixed) // 2
+    assert len(calls) == fixed + (len(gens) * len(walked) - fixed) // 2
 
 
-def test_enumerate_emits_distinct_subgroups():
+@pytest.mark.parametrize("p,k,b", [(2, 2, 2), *ENUMERATED_GROUPS])
+def test_enumerate_emits_distinct_subgroups(p, k, b):
+    # Distinct and as many as Birkhoff's count: every subgroup exactly once.
     seen = set()
-    for form in enumerate_subgroups(2, 2, 2):
+    for form in enumerate_subgroups(p, k, b):
         sub = rebuild(form)
         assert sub.basis not in seen
         seen.add(sub.basis)
-    assert len(seen) == 15
+    assert len(seen) == subgroup_count(p, k, b)
 
 
 def test_bound_exceeded():

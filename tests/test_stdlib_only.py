@@ -1,0 +1,22 @@
+import ast
+import sys
+from pathlib import Path
+
+import branchlift
+
+
+def test_package_imports_only_the_standard_library():
+    src = Path(branchlift.__file__).parent
+    files = sorted(src.glob("*.py"))
+    assert files
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names, f"{path.name} imports {name}"

@@ -94,9 +94,10 @@ def test_howell_examples():
     width=st.integers(1, 3),
 )
 def test_howell_idempotent_and_span_preserving(data, ctx, width):
+    # Entries outside [0, n): act hands howell_reduce unreduced moved rows.
     nrows = data.draw(st.integers(0, 4))
     rows = [
-        [data.draw(st.integers(0, ctx.modulus - 1)) for _ in range(width)]
+        [data.draw(st.integers(-2 * ctx.modulus, 2 * ctx.modulus - 1)) for _ in range(width)]
         for _ in range(nrows)
     ]
     basis = howell_reduce(ctx, width, rows)
