@@ -11,16 +11,11 @@ from .modular import (
     MAX_RANK,
     Matrix,
     ModulusContext,
-    NonUnitError,
     NotUnitriangularError,
     Perm,
     Vector,
-    inv_unit,
-    inv_unitriangular,
     inv_unitriangular_int,
     matmul,
-    reduce_mod,
-    valuation,
 )
 from .subgroups import (
     CanonicalForm,

@@ -17,17 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
-from .modular import (
-    Matrix,
-    ModulusContext,
-    Perm,
-    inv_unitriangular,
-    matmul,
-    reduce_mod,
-    valuation,
-)
+from .modular import Matrix, Perm
 from .subgroups import CanonicalForm, Subgroup, canonical_form, equal, span
 
 __all__ = [
@@ -107,18 +100,29 @@ def invariant_under(sub: Subgroup, alpha: Perm) -> bool:
     return equal(act(alpha, sub), sub)
 
 
-@lru_cache(maxsize=65536)
-def _cofactor_inverse(upper: Matrix, ctx: ModulusContext) -> Matrix:
-    return inv_unitriangular(upper, ctx)
-
-
 def divisibility_criterion(form: CanonicalForm, alpha: Perm) -> bool:
     """Invariance test read off the normal form, without acting.
 
-    For a form with identity column permutation, the subgroup is invariant
-    under alpha exactly when every strictly upper entry (i, j) of
-    U * T * U^{-1} is divisible by p^(e_j - e_i), where U is the cofactor,
-    T the action matrix and e the exponent list.
+    Take a form with identity column permutation, exponents e and cofactor
+    U; the subgroup is the row span of diag(p^e) U.  Rows at or past the
+    rank have e_i = k and vanish, so only generator rows i < rank move.
+
+    Proof.  U is unit upper-triangular, so its rows are a basis of
+    (Z/p^k)^b and every row x has unique coordinates w with x = w U; x
+    lies in the subgroup exactly when p^(e_j) | w_j for every j.  With T
+    the action matrix of alpha, the moved generator row p^(e_i) U_i T has
+    coordinates p^(e_i) w, where w U = U_i T.  So it lies in the span of
+    diag(p^e) U exactly when p^(e_j) | p^(e_i) w_j for every j, which is
+    automatic unless e_j > e_i and reads p^(e_j - e_i) | w_j there.  Since
+    w is row i of U T U^-1 and e is weakly increasing, this is the
+    condition that each strictly upper entry (i, j) of U T U^-1 is
+    divisible by p^(e_j - e_i).  T is invertible and the subgroup finite,
+    so carrying every generator row into the subgroup carries the subgroup
+    onto itself.
+
+    U_i T is ``_moved_row(alpha, U_i)``, and U needs no inverse: forward
+    substitution over the integers gives w_j = v_j - sum_{t<j} w_t U[t][j]
+    for the moved row v, and the first failing entry ends the test.
     """
     if not form.colperm.is_identity:
         raise OmegaNotIdentityError(
@@ -126,15 +130,16 @@ def divisibility_criterion(form: CanonicalForm, alpha: Perm) -> bool:
         )
     if alpha.size != form.width + 1:
         raise ValueError("permutation size does not match the form")
-    ctx = form.ctx
-    t = action_matrix(alpha)
-    u_inv = _cofactor_inverse(form.upper, ctx)
-    conj = reduce_mod(matmul(matmul(form.upper, t), u_inv), ctx)
-    exps = form.exponents
-    for i in range(form.width):
-        for j in range(i + 1, form.width):
-            if valuation(conj[i][j], ctx) < exps[j] - exps[i]:
+    p, upper, exps = form.ctx.p, form.upper, form.exponents
+    cols = tuple(zip(*upper))
+    for i in range(form.rank):
+        w: list[int] = []
+        for j, vj in enumerate(_moved_row(alpha, upper[i])):
+            # map stops with w, so this sums over t < j
+            wj = vj - sum(map(mul, w, cols[j]))
+            if exps[j] > exps[i] and wj % p ** (exps[j] - exps[i]):
                 return False
+            w.append(wj)
     return True
 
 

@@ -30,6 +30,7 @@ from .modular import Matrix, ModulusContext, Perm
 from .subgroups import (
     CanonicalForm,
     Subgroup,
+    _trusted_form,
     canonical_form,
     contains,
     order,
@@ -109,7 +110,7 @@ def _identity_forms(ctx: ModulusContext, width: int,
                 rows = [row[:] for row in base]
                 for (i, j, _), val in zip(free, values):
                     rows[i][j] = val
-                yield CanonicalForm(
+                yield _trusted_form(
                     ctx=ctx,
                     width=width,
                     rank=rank,

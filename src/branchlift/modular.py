@@ -20,10 +20,6 @@ MAX_MODULUS = 1 << 16
 MAX_RANK = 16
 
 
-class NonUnitError(ValueError):
-    """Inversion was attempted on a residue divisible by p."""
-
-
 class NotUnitriangularError(ValueError):
     """A matrix expected to be unit upper-triangular is not."""
 
@@ -72,23 +68,6 @@ def _val(a: int, p: int, k: int) -> int:
         a //= p
         t += 1
     return t
-
-
-def valuation(a: int, ctx: ModulusContext) -> int:
-    """Largest t <= k with p^t | a, on canonical residues; valuation(0) = k.
-
-    The zero convention makes "p^t divides a" equivalent to
-    "valuation(a) >= t" for every t <= k.
-    """
-    return _val(a % ctx.modulus, ctx.p, ctx.k)
-
-
-def inv_unit(a: int, ctx: ModulusContext) -> int:
-    """Multiplicative inverse of a unit residue mod p^k."""
-    a %= ctx.modulus
-    if a % ctx.p == 0:
-        raise NonUnitError(f"{a} is not a unit mod {ctx.modulus}")
-    return pow(a, -1, ctx.modulus)
 
 
 class Perm:
@@ -190,12 +169,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def reduce_mod(m: Matrix, ctx: ModulusContext) -> Matrix:
-    """Map every entry to its canonical residue in [0, p^k)."""
-    n = ctx.modulus
-    return tuple(tuple(x % n for x in row) for row in m)
-
-
 def _require_unitriangular(q: Matrix) -> int:
     n = len(q)
     if any(len(row) != n for row in q):
@@ -217,12 +190,3 @@ def inv_unitriangular_int(q: Matrix) -> Matrix:
         for j in range(i + 1, n):
             inv[i][j] = -sum(q[i][t] * inv[t][j] for t in range(i + 1, j + 1))
     return tuple(tuple(row) for row in inv)
-
-
-def inv_unitriangular(q: Matrix, ctx: ModulusContext) -> Matrix:
-    """Inverse of a unit upper-triangular integer matrix, reduced mod p^k.
-
-    Computed exactly over the integers by back substitution, then reduced,
-    so no modular division is ever involved.
-    """
-    return reduce_mod(inv_unitriangular_int(q), ctx)

@@ -286,6 +286,22 @@ class CanonicalForm:
             raise ValueError("column permutation size differs from width")
 
 
+def _trusted_form(ctx: ModulusContext, width: int, rank: int,
+                  exponents: tuple[int, ...], upper: Matrix,
+                  colperm: Perm) -> CanonicalForm:
+    """A ``CanonicalForm`` from fields whose bounds the caller has just
+    established, filled in without ``__post_init__``'s re-checks; a direct
+    ``CanonicalForm(...)`` still checks them."""
+    form = object.__new__(CanonicalForm)
+    object.__setattr__(form, "ctx", ctx)
+    object.__setattr__(form, "width", width)
+    object.__setattr__(form, "rank", rank)
+    object.__setattr__(form, "exponents", exponents)
+    object.__setattr__(form, "upper", upper)
+    object.__setattr__(form, "colperm", colperm)
+    return form
+
+
 def _eliminate(rows: Iterable[Sequence[int]], cols: Iterable[int], p: int, k: int,
                n: int) -> tuple[list[list[int]], list[tuple[int, int]], list[list[int]]]:
     """Elimination by globally minimal p-valuation over the columns ``cols``.
@@ -371,7 +387,7 @@ def canonical_form(sub: Subgroup) -> CanonicalForm:
     images = [0] * m
     for pos, c in enumerate(col_order, start=1):
         images[c] = pos
-    return CanonicalForm(
+    return _trusted_form(
         ctx=ctx,
         width=m,
         rank=rank,

@@ -10,7 +10,7 @@ from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from branchlift import Matrix, ModulusContext, Perm, classify
+from branchlift import Matrix, ModulusContext, Perm, classify, inv_unitriangular_int
 
 
 def brute_span(ctx: ModulusContext, width: int, rows) -> frozenset:
@@ -107,6 +107,42 @@ def matsub(a: Matrix, b: Matrix) -> Matrix:
     if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
         raise ValueError("dimension mismatch in matrix difference")
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def valuation(a: int, ctx: ModulusContext) -> int:
+    """Largest t <= k with p^t | a mod p^k; valuation(0) = k, so that
+    "p^t divides a" is "valuation(a) >= t" for every t <= k."""
+    a %= ctx.modulus
+    if a == 0:
+        return ctx.k
+    t = 0
+    while a % ctx.p == 0:
+        a //= ctx.p
+        t += 1
+    return t
+
+
+class NonUnitError(ValueError):
+    """Inversion was attempted on a residue divisible by p."""
+
+
+def inv_unit(a: int, ctx: ModulusContext) -> int:
+    """Multiplicative inverse of a unit residue mod p^k."""
+    a %= ctx.modulus
+    if a % ctx.p == 0:
+        raise NonUnitError(f"{a} is not a unit mod {ctx.modulus}")
+    return pow(a, -1, ctx.modulus)
+
+
+def reduce_mod(m: Matrix, ctx: ModulusContext) -> Matrix:
+    """Every entry mapped to its canonical residue in [0, p^k)."""
+    n = ctx.modulus
+    return tuple(tuple(x % n for x in row) for row in m)
+
+
+def inv_unitriangular(q: Matrix, ctx: ModulusContext) -> Matrix:
+    """Inverse of a unit upper-triangular integer matrix, reduced mod p^k."""
+    return reduce_mod(inv_unitriangular_int(q), ctx)
 
 
 #: (p, k, n, expected number of fully liftable classes)

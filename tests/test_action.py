@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from branchlift import (
@@ -12,17 +14,24 @@ from branchlift import (
     equal,
     fully_liftable,
     generators,
-    inv_unitriangular,
     invariant_under,
     matmul,
     omega_normalize,
     rebuild,
-    reduce_mod,
     span,
     swap_with_last,
+)
+from branchlift.census import _identity_forms
+from conftest import (
+    all_perms,
+    elementary_matrix,
+    identity_matrix,
+    inv_unitriangular,
+    matadd,
+    matsub,
+    reduce_mod,
     valuation,
 )
-from conftest import all_perms, elementary_matrix, identity_matrix, matadd, matsub
 
 Z4 = ModulusContext(2, 2)
 Z3 = ModulusContext(3, 1)
@@ -213,6 +222,30 @@ def _divisibility_holds(form, x):
         for i in range(form.width)
         for j in range(i + 1, form.width)
     )
+
+
+@pytest.mark.parametrize("p,k,b,sample", [
+    (2, 3, 3, None), (5, 1, 3, None), (3, 2, 2, None), (2, 2, 4, 20),
+])
+def test_criterion_agrees_with_matrix_formula(p, k, b, sample):
+    # the criterion moves cofactor rows and substitutes forward; the
+    # reference conjugates by the action matrix with an explicit U^-1
+    perms = all_perms(b + 1)
+    if sample is not None:
+        perms = random.Random(b).sample(perms, sample)
+    forms = list(_identity_forms(ModulusContext(p, k), b))
+    verdicts = set()
+    for form in forms:
+        for alpha in perms:
+            verdict = divisibility_criterion(form, alpha)
+            assert verdict == _divisibility_holds(form, action_matrix(alpha)), (
+                form, alpha,
+            )
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+    for alpha in (Perm.identity(b), Perm.identity(b + 2)):
+        with pytest.raises(ValueError):
+            divisibility_criterion(forms[-1], alpha)
 
 
 @pytest.mark.parametrize("p,k,b", [(3, 1, 2), (2, 2, 3)])

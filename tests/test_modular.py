@@ -2,18 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchlift import (
-    ModulusContext,
+from branchlift import ModulusContext, NotUnitriangularError, Perm, matmul
+from conftest import (
     NonUnitError,
-    NotUnitriangularError,
-    Perm,
+    elementary_matrix,
+    identity_matrix,
     inv_unit,
     inv_unitriangular,
-    matmul,
+    matadd,
+    matsub,
     reduce_mod,
     valuation,
 )
-from conftest import elementary_matrix, identity_matrix, matadd, matsub
 
 SMALL_CONTEXTS = [
     ModulusContext(p, k)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from branchlift import (
     subgroup_from_json,
     subgroup_to_json,
 )
+from branchlift.census import _identity_forms
 from conftest import brute_all_subgroups, brute_span
 
 Z4 = ModulusContext(2, 2)
@@ -215,6 +218,16 @@ def test_rebuild_rejects_bad_forms():
         CanonicalForm(Z4, 2, 1, (2, 0), ((1, 0), (0, 1)), Perm.identity(2))
     with pytest.raises(ValueError):
         CanonicalForm(Z4, 2, 1, (0, 2), ((1, 0), (1, 1)), Perm.identity(2))
+
+
+@pytest.mark.parametrize("p,k,b", [(2, 2, 3), (3, 1, 3), (2, 3, 2)])
+def test_trusted_forms_pass_the_checked_constructor(p, k, b):
+    # canonical_form and _identity_forms skip __post_init__; every form
+    # they build must still satisfy it
+    forms = [*enumerate_subgroups(p, k, b), *_identity_forms(ModulusContext(p, k), b)]
+    for form in forms:
+        fields = {f.name: getattr(form, f.name) for f in dataclasses.fields(form)}
+        assert CanonicalForm(**fields) == form
 
 
 def _quotient_order_counts(ctx, width, sub):
