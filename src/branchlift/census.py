@@ -250,14 +250,9 @@ def predict_liftable(p: int, k: int, n: int) -> list[Predicted]:
     if n < 3:
         raise ValueError("the closed form applies for n >= 3")
     pk = p ** k
-    out = []
-    basis_images = [
-        tuple(1 if j == i else 0 for j in range(n - 1)) for i in range(n - 1)
-    ]
-    basis_images.append(tuple(pk - 1 for _ in range(n - 1)))
-    out.append(
-        Predicted(1, None, CoverSpec(p, k, n, (pk,) * (n - 1), tuple(basis_images)))
-    )
+    # Family 1 sends each point to its own loop class.
+    point_images = tuple(_point_classes(ModulusContext(p, k), n - 1))
+    out = [Predicted(1, None, CoverSpec(p, k, n, (pk,) * (n - 1), point_images))]
     for r in range(1, k):
         if n % p ** (k - r):
             continue

@@ -20,9 +20,10 @@ from .modular import Matrix, ModulusContext, Perm, Vector, inv_unitriangular_int
 from .subgroups import (
     CanonicalForm,
     Subgroup,
-    _eliminate,
+    _pivots,
     _reduce_against,
     equal,
+    howell_reduce,
     order,
     span,
 )
@@ -163,45 +164,38 @@ def require_valid(spec: CoverSpec, strict: bool = True) -> None:
         raise CoverValidationError(codes)
 
 
-def _eliminate_images(spec: CoverSpec) -> tuple[list[list[int]], list[tuple[int, int]],
-                                                list[list[int]]]:
-    """Eliminate the first n-1 embedded loop images, recording row operations.
+def _graph_basis(spec: CoverSpec) -> Matrix:
+    """Howell basis of the graph of the map on homology.
 
     Row i is the embedded image of loop i followed by the i-th unit vector
-    of length n-1.  Elimination runs over the t deck-group columns only, so
-    the trailing n-1 entries of each result row record the combination of
-    loops whose image is in its leading t entries.
+    of length n-1, for the first n-1 loops, so the rows span the pairs
+    (image of x | x) over all x in (Z/p^k)^(n-1).
     """
-    ctx = spec.ctx
     b = spec.n - 1
     rows = [
         row + [1 if j == i else 0 for j in range(b)]
         for i, row in enumerate(_embedded_rows(spec, spec.images[:b]))
     ]
-    return _eliminate(rows, range(len(spec.factor_orders)), ctx.p, ctx.k, ctx.modulus)
+    return howell_reduce(spec.ctx, len(spec.factor_orders) + b, rows)
 
 
 def kernel(spec: CoverSpec, strict: bool = True) -> Subgroup:
     """Kernel of the induced map on mod-p^k homology, as a subgroup of
     (Z/p^k)^(n-1).
 
-    Each pivot row maps to p^e times a row that is a unit at its pivot and
-    zero at earlier pivots, and each leftover row maps to zero, so the
-    kernel is spanned by p^(k-e) times the pivot rows' loop combinations
-    together with the leftover rows' loop combinations.
+    The graph span holds (0 | x) exactly for x in the kernel.  By the
+    Howell property, the graph basis rows that pivot at or past column t,
+    which are the rows vanishing on the t deck-group columns, span every
+    such element.  Their trailing parts keep p-power pivots, reduced
+    entries above each pivot and zeros left of it, and for each column j
+    the rows pivoting at or past t + j still span the graph elements, and
+    so the kernel elements, that vanish before it.  They are therefore
+    the unique Howell basis of the kernel and need no second reduction.
     """
     require_valid(spec, strict)
-    ctx = spec.ctx
-    p, k, n = ctx.p, ctx.k, ctx.modulus
     t = len(spec.factor_orders)
-    placed, pivots, rest = _eliminate_images(spec)
-    gens = [
-        [(x * p ** (k - e)) % n for x in row[t:]]
-        for row, (_, e) in zip(placed, pivots)
-        if e > 0
-    ]
-    gens += [row[t:] for row in rest]
-    return span(ctx, spec.n - 1, gens)
+    rows = tuple(row[t:] for row in _graph_basis(spec) if not any(row[:t]))
+    return Subgroup(spec.ctx, spec.n - 1, rows)
 
 
 def apply_cover_map(spec: CoverSpec, vec: Vector) -> Vector:
@@ -279,20 +273,20 @@ def induced_deck_automorphism(spec: CoverSpec, alpha: Perm,
     deck group compatible with alpha on loop images; it is returned as one
     row per standard generator of the deck group.  Otherwise None.
     """
-    require_valid(spec, strict)
     ker = kernel(spec, strict)
     if not equal(act(alpha, ker), ker):
         return None
-    p, n = spec.p, spec.ctx.modulus
+    p, k, n = spec.p, spec.k, spec.ctx.modulus
     b = spec.n - 1
     t = len(spec.factor_orders)
-    placed, pivots, _ = _eliminate_images(spec)
+    graph = _graph_basis(spec)
+    pivots = _pivots(graph, p, k)
     rows = []
     for j, q in enumerate(spec.factor_orders):
         # Reducing (generator | 0) leaves (0 | -x) for a preimage x.
         target = [0] * (t + b)
         target[j] = n // q
-        left = _reduce_against(target, placed, pivots, p, n)
+        left = _reduce_against(target, graph, pivots, p, n)
         if any(left[:t]):
             raise CoverValidationError([NOT_SURJECTIVE], "generator has no preimage")
         sol = [-x for x in left[t:]]

@@ -45,22 +45,59 @@ __all__ = [
 ]
 
 
-def _echelon(rows: list[list[int]], width: int, p: int, k: int,
-             n: int) -> tuple[list[list[int]], list[tuple[int, int]]]:
-    """Howell-closed row echelon form with pivots normalized to powers of p.
+def _reduce_against(vec: list[int], basis: Sequence[Sequence[int]],
+                    pivots: Sequence[tuple[int, int]], p: int, n: int) -> list[int]:
+    """Greedy reduction of a vector against an echelon basis.
 
-    Pivoting always picks a minimal-valuation entry in the current column,
-    so every other entry in that column is an exact integer multiple of the
-    pivot and elimination needs no gcd steps.  A pivot p^e with e > 0 also
-    leaves its annihilator multiple p^(k-e) * row in the pool; that shadow
-    vanishes on this column and every earlier one, so later columns absorb
-    it and the span stays closed in one pass.
-
-    Returns the pivot rows and their (column, e) pairs.
+    On a Howell basis the result is zero exactly when the vector lies in
+    the span.
     """
-    pool = [r for r in rows if any(r)]
-    out: list[list[int]] = []
-    pivots: list[tuple[int, int]] = []
+    v = list(vec)
+    for row, (col, e) in zip(basis, pivots):
+        a = v[col]
+        if a:
+            pe = p ** e
+            if a % pe:
+                break
+            c = a // pe
+            v = [(x - c * y) % n for x, y in zip(v, row)]
+    return v
+
+
+def _pivots(basis: Sequence[Sequence[int]], p: int, k: int) -> list[tuple[int, int]]:
+    out = []
+    for row in basis:
+        col = next(j for j, x in enumerate(row) if x)
+        out.append((col, _val(row[col], p, k)))
+    return out
+
+
+def howell_reduce(ctx: ModulusContext, width: int, rows: Iterable[Sequence[int]]) -> Matrix:
+    """Unique reduced basis for the row span of ``rows`` over Z/p^k.
+
+    One pass over the columns.  Pivoting always picks a minimal-valuation
+    entry in the current column, so every other entry in that column is an
+    exact integer multiple of the pivot and elimination needs no gcd steps.
+    A pivot p^e with e > 0 also leaves its annihilator multiple
+    p^(k-e) * row in the pool; that shadow vanishes on this column and
+    every earlier one, so later columns absorb it and the span stays
+    closed.
+
+    When a pivot row is placed it reduces the entry in its column of every
+    row placed before it below its power of p.  Those rows are never
+    touched again except by later pivot rows, which vanish on every earlier
+    pivot column, so each reduced entry stays reduced and the result is
+    the one a separate above-pivot pass after the elimination would give.
+    """
+    p, k, n = ctx.p, ctx.k, ctx.modulus
+    pool = []
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(f"row width {len(row)} differs from {width}")
+        r = [x % n for x in row]
+        if any(r):
+            pool.append(r)
+    basis: list[list[int]] = []
     for col in range(width):
         best = -1
         best_v = k
@@ -94,55 +131,11 @@ def _echelon(rows: list[list[int]], width: int, p: int, k: int,
             if any(shadow):
                 nxt.append(shadow)
         pool = nxt
-        out.append(piv)
-        pivots.append((col, best_v))
-    return out, pivots
-
-
-def _reduce_against(vec: list[int], basis: Sequence[Sequence[int]],
-                    pivots: Sequence[tuple[int, int]], p: int, n: int) -> list[int]:
-    """Greedy reduction of a vector against an echelon basis.
-
-    On a Howell basis the result is zero exactly when the vector lies in
-    the span.
-    """
-    v = list(vec)
-    for row, (col, e) in zip(basis, pivots):
-        a = v[col]
-        if a:
-            pe = p ** e
-            if a % pe:
-                break
-            c = a // pe
-            v = [(x - c * y) % n for x, y in zip(v, row)]
-    return v
-
-
-def _pivots(basis: Sequence[Sequence[int]], p: int, k: int) -> list[tuple[int, int]]:
-    out = []
-    for row in basis:
-        col = next(j for j, x in enumerate(row) if x)
-        out.append((col, _val(row[col], p, k)))
-    return out
-
-
-def howell_reduce(ctx: ModulusContext, width: int, rows: Iterable[Sequence[int]]) -> Matrix:
-    """Unique reduced basis for the row span of ``rows`` over Z/p^k."""
-    p, k, n = ctx.p, ctx.k, ctx.modulus
-    work = []
-    for row in rows:
-        if len(row) != width:
-            raise ValueError(f"row width {len(row)} differs from {width}")
-        work.append([x % n for x in row])
-    basis, pivots = _echelon(work, width, p, k, n)
-    # Reduce entries above each pivot below that pivot's power of p.
-    for t in range(len(basis)):
-        col, e = pivots[t]
-        pe = p ** e
-        for u in range(t):
-            c = basis[u][col] // pe
+        for u, r in enumerate(basis):
+            c = r[col] // pe
             if c:
-                basis[u] = [(x - c * y) % n for x, y in zip(basis[u], basis[t])]
+                basis[u] = [(x - c * y) % n for x, y in zip(r, piv)]
+        basis.append(piv)
     return tuple(tuple(r) for r in basis)
 
 
@@ -302,25 +295,26 @@ def _trusted_form(ctx: ModulusContext, width: int, rank: int,
     return form
 
 
-def _eliminate(rows: Iterable[Sequence[int]], cols: Iterable[int], p: int, k: int,
-               n: int) -> tuple[list[list[int]], list[tuple[int, int]], list[list[int]]]:
-    """Elimination by globally minimal p-valuation over the columns ``cols``.
+def canonical_form(sub: Subgroup) -> CanonicalForm:
+    """Compute the normal form of a subgroup from its reduced basis.
 
-    Each step picks the entry of least valuation among the remaining rows
-    and columns (ties broken by smallest column, then topmost row), scales
-    its row so the pivot is exactly p^e, and clears that column from the
-    other remaining rows.  The pivot is minimal over everything left, so
-    every entry of the pivot row in ``cols`` is a multiple of p^e and each
-    elimination is an exact division.  Row operations act on whole rows,
-    columns outside ``cols`` included.
-
-    Returns the pivot rows in order, their (column, e) pairs, and the
-    nonzero rows left over, which vanish on ``cols``.
+    Elimination by globally minimal p-valuation: each step picks the entry
+    of least valuation among the remaining rows and columns (ties broken by
+    smallest column, then topmost row), scales its row so the pivot is
+    exactly p^e, and clears that column from the other remaining rows.
+    The pivot is minimal over everything left, so every entry of the pivot
+    row in a remaining column is a multiple of p^e and each elimination is
+    an exact division.  Each pivot column is moved to the next position,
+    and finally the cofactor entries are reduced into their bounds by row
+    operations.
     """
-    work = [list(r) for r in rows]
-    cols_left = list(cols)
+    ctx, m = sub.ctx, sub.width
+    p, k, n = ctx.p, ctx.k, ctx.modulus
+    work = [list(r) for r in sub.basis]
+    cols_left = list(range(m))
     placed: list[list[int]] = []
-    pivots: list[tuple[int, int]] = []
+    col_order: list[int] = []
+    exps_full: list[int] = []
     while work:
         best_v, best_c, best_r = k, 0, 0
         for ri, r in enumerate(work):
@@ -348,25 +342,12 @@ def _eliminate(rows: Iterable[Sequence[int]], cols: Iterable[int], p: int, k: in
                 rest.append(r)
         work = rest
         placed.append(piv)
-        pivots.append((best_c, best_v))
+        col_order.append(best_c)
+        exps_full.append(best_v)
         cols_left.remove(best_c)
-    return placed, pivots, work
-
-
-def canonical_form(sub: Subgroup) -> CanonicalForm:
-    """Compute the normal form of a subgroup from its reduced basis.
-
-    Pivots are chosen by ``_eliminate``, each pivot column is moved to the
-    next position, and finally the cofactor entries are reduced into their
-    bounds by row operations.
-    """
-    ctx, m = sub.ctx, sub.width
-    p, k, n = ctx.p, ctx.k, ctx.modulus
-    placed, pivots, _ = _eliminate(sub.basis, range(m), p, k, n)
     rank = len(placed)
-    col_order = [c for c, _ in pivots]
-    col_order += [c for c in range(m) if c not in col_order]
-    exps_full = [e for _, e in pivots] + [k] * (m - rank)
+    col_order += cols_left
+    exps_full += [k] * (m - rank)
     # Rows in pivot-column order; triangular by construction.
     mat = [[row[c] for c in col_order] for row in placed]
     # Reduce each cofactor entry into [0, p^(e_j - e_i)) by subtracting

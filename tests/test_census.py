@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -339,6 +340,30 @@ def test_atlas_byte_stability(tmp_path, census_cache):
     assert path.read_bytes() != first
     doc = json.loads(path.read_text())
     assert doc["params"]["strict"] is False
+
+
+# SHA-256 of each grid point's atlas document without ``elapsed_ms``,
+# pinned when the census output was last known good.  A change here means
+# the census output changed.
+ATLAS_SHA256 = {
+    (2, 1, 3): "4195d61ff8b5da4ff9b6ae335380890eb45a026d5960c29f2de7eb4f19696a65",
+    (2, 1, 4): "6981044848d49417995e6cffab45725b46f0b65e4bcda6388aea2b779d7e167e",
+    (2, 1, 5): "abacb558eca738c01578da03f06bdebe04030f5487241332f12700486030e9c2",
+    (3, 1, 3): "70f87b921befe82283ef78e5a56f23435f568a286b59c4fd90dcd84ff9d62b22",
+    (3, 1, 4): "d89861a4359346c5a9d6d261dad1b8ce68874db136dff26103f5f2cb7c2d8043",
+    (2, 2, 4): "77742054b713b30bbd2a75faab52b01972137b1b71332c237a117f642929b76d",
+    (2, 2, 5): "fb98c53bf640aec812e8dbc7221cbacddd6af5080e92610b2c13d82ed1c5c7a2",
+    (2, 2, 6): "5b27c0e5979796e3898e15a538ca15aa2ef17e61f48888963bfeaf12b120742c",
+    (3, 2, 3): "20b2e64066adff25c7a1d535a15e6f2fd12ca8dfa7f42009e2c8d4f5a3d56252",
+}
+
+
+@pytest.mark.parametrize("p,k,n", [pt[:3] for pt in ACCEPTANCE_GRID])
+def test_atlas_document_pinned(census_cache, p, k, n):
+    doc = report_to_json(census_cache(p, k, n))
+    doc.pop("elapsed_ms")
+    digest = hashlib.sha256(json.dumps(doc, indent=2).encode()).hexdigest()
+    assert digest == ATLAS_SHA256[(p, k, n)]
 
 
 def test_classify_deterministic():
