@@ -13,6 +13,17 @@ compares the liftable classes against a closed-form prediction:
 Enumeration walks normal forms with trivial column permutation and closes
 under column permutations, which reaches every subgroup; a class is fully
 liftable exactly when its orbit is a single subgroup.
+
+Both walks move Howell bases by adjacent column swaps, each one a local
+update (``subgroups._swap_columns``) that re-eliminates only the rows
+pivoting at the two swapped columns.  The enumeration swaps columns of
+(Z/p^k)^b directly.  The census lifts each kernel K of (Z/p^k)^b to its
+preimage in (Z/p^k)^n under x -> (x_j - x_n)_j, with columns ordered
+(n, 1, ..., b): there a point permutation acts by permuting coordinates,
+and the transpositions (n 1), (1 2), ..., (b-1 b), which generate S_n,
+are the adjacent column swaps.  The lifted Howell basis is
+(1 | ones reduced against K) on top of (0 | row) for each row of K's
+basis, so the walk stores only K's basis.
 """
 
 from __future__ import annotations
@@ -24,13 +35,17 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .modular import Matrix, ModulusContext, Perm
 from .subgroups import (
     CanonicalForm,
     Subgroup,
+    _pivots,
+    _reduce_above,
+    _swap_columns,
     _trusted_form,
+    _trusted_subgroup,
     canonical_form,
     contains,
     order,
@@ -38,12 +53,7 @@ from .subgroups import (
     span,
     subgroup_to_json,
 )
-from .action import (
-    act,
-    fully_liftable,
-    generators,
-    omega_normalize,
-)
+from .action import fully_liftable, omega_normalize
 from .covers import (
     CoverSpec,
     cover_from_form,
@@ -120,37 +130,70 @@ def _identity_forms(ctx: ModulusContext, width: int,
                 )
 
 
-def _orbit(seed: Subgroup, gens: Sequence[Perm],
-           visited: set[Matrix]) -> Iterator[Subgroup]:
-    """The orbit of ``seed`` under the group ``gens`` generate, walked lazily.
+def _same(basis: Matrix) -> Matrix:
+    return basis
 
-    Yields the seed, then each new subgroup breadth first as soon as it is
-    found, and adds every yielded basis to ``visited``.  Every generator
-    must be an involution: then act(g, x) = y also gives act(g, y) = x, so
-    ``known`` holds, for each found but not yet expanded subgroup, a bitmask
-    of the generators whose image is already known, and each orbit edge is
-    walked once.
+
+def _orbit(ctx: ModulusContext, seed: Matrix, swaps: Sequence[int],
+           visited: set[Matrix],
+           key: Callable[[Matrix], Matrix] = _same) -> Iterator[Matrix]:
+    """The orbit of the Howell basis ``seed`` under the adjacent column
+    swaps at the columns in ``swaps``, walked lazily.
+
+    Yields ``key`` of the seed, then ``key`` of each new basis breadth
+    first as soon as it is found, and adds every yielded key to
+    ``visited``; ``key`` must be injective on the orbit.  A swap is an
+    involution, so swapping x to y also swaps y back to x: ``known`` holds,
+    for each found but not yet expanded basis, a bitmask of the swaps
+    whose image is already known, and each orbit edge is walked once.
     """
-    indexed = list(enumerate(gens))
-    visited.add(seed.basis)
-    known = {seed.basis: 0}
-    yield seed
+    first = key(seed)
+    visited.add(first)
+    known = {seed: 0}
+    yield first
     queue = deque([seed])
     while queue:
         cur = queue.popleft()
-        done = known.pop(cur.basis)
-        for i, g in indexed:
+        done = known.pop(cur)
+        for i, c in enumerate(swaps):
             if done >> i & 1:
                 continue
-            moved = act(g, cur)
-            basis = moved.basis
-            if basis in known:
-                known[basis] |= 1 << i
-            elif basis not in visited:
-                visited.add(basis)
-                known[basis] = 1 << i
+            moved = _swap_columns(ctx, cur, c)
+            if moved in known:
+                known[moved] |= 1 << i
+                continue
+            found = key(moved)
+            if found not in visited:
+                visited.add(found)
+                known[moved] = 1 << i
                 queue.append(moved)
-                yield moved
+                yield found
+
+
+def _lift(ctx: ModulusContext, width: int, basis: Matrix) -> Matrix:
+    """Howell basis of the preimage of the subgroup with Howell basis
+    ``basis`` under (Z/p^k)^n -> (Z/p^k)^b, x -> (x_j - x_n)_j, where
+    b = width, n = b + 1 and the columns are ordered (n, 1, ..., b).
+
+    A point permutation acts on (Z/p^k)^b as the coordinate permutation of
+    (Z/p^k)^n read through this map, so it acts on preimages by permuting
+    columns.  The preimage is spanned by the all-ones vector and (0 | row)
+    for each basis row.  Its elements vanishing at column 0 are the
+    (0 | x) with x in the subgroup, so its Howell basis is
+    (1 | ones reduced above the subgroup's pivots) on top of (0 | row).
+    """
+    pivots = [(col, ctx.p ** e, row)
+              for row, (col, e) in zip(basis, _pivots(basis, ctx.p, ctx.k))]
+    ones = _reduce_above([1] * width, pivots, ctx.modulus)
+    return ((1, *ones), *((0, *row) for row in basis))
+
+
+def _unlift(lifted: Matrix) -> Matrix:
+    """The Howell basis of the subgroup whose preimage has the Howell
+    basis ``lifted``, as ``_lift`` lays it out: a preimage contains the
+    all-ones vector, so row 0 pivots at column 0 with entry 1, and the
+    other rows are (0 | row) for the subgroup's basis rows."""
+    return tuple(row[1:] for row in lifted[1:])
 
 
 def enumerate_subgroups(p: int, k: int, b: int,
@@ -164,13 +207,12 @@ def enumerate_subgroups(p: int, k: int, b: int,
     """
     _check_bound(p, k, b, bound)
     ctx = ModulusContext(p, k)
-    swaps = [Perm.transposition(b + 1, i, i + 1) for i in range(1, b)]
     visited: set[Matrix] = set()
     for seed in map(rebuild, _identity_forms(ctx, b)):
         if seed.basis in visited:
             continue
-        for sub in _orbit(seed, swaps, visited):
-            yield canonical_form(sub)
+        for basis in _orbit(ctx, seed.basis, range(b - 1), visited):
+            yield canonical_form(_trusted_subgroup(ctx, b, basis))
 
 
 @dataclass(frozen=True)
@@ -292,7 +334,6 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
     ctx = ModulusContext(p, k)
     start = time.perf_counter()
 
-    gens = generators(b)
     points = _point_classes(ctx, b)
     predicted = predict_liftable(p, k, n)
     predicted_bases = [kernel(pr.cover).basis for pr in predicted]
@@ -304,8 +345,9 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
     for seed in map(rebuild, _identity_forms(ctx, b, max_rank=b - 1)):
         if seed.basis in visited:
             continue
-        orbit = list(_orbit(seed, gens, visited))
-        rep = min(orbit, key=lambda s: s.basis)
+        lifted = _lift(ctx, b, seed.basis)
+        orbit = list(_orbit(ctx, lifted, range(b), visited, _unlift))
+        rep = _trusted_subgroup(ctx, b, min(orbit))
         if strict and any(contains(rep, v) for v in points):
             dropped += 1
             continue

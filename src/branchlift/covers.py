@@ -193,8 +193,13 @@ def kernel(spec: CoverSpec, strict: bool = True) -> Subgroup:
     the unique Howell basis of the kernel and need no second reduction.
     """
     require_valid(spec, strict)
+    return _graph_kernel(spec, _graph_basis(spec))
+
+
+def _graph_kernel(spec: CoverSpec, graph: Matrix) -> Subgroup:
+    """The kernel read off the graph basis, as ``kernel`` explains."""
     t = len(spec.factor_orders)
-    rows = tuple(row[t:] for row in _graph_basis(spec) if not any(row[:t]))
+    rows = tuple(row[t:] for row in graph if not any(row[:t]))
     return Subgroup(spec.ctx, spec.n - 1, rows)
 
 
@@ -271,15 +276,17 @@ def induced_deck_automorphism(spec: CoverSpec, alpha: Perm,
 
     When alpha preserves the kernel there is a unique automorphism of the
     deck group compatible with alpha on loop images; it is returned as one
-    row per standard generator of the deck group.  Otherwise None.
+    row per standard generator of the deck group.  Otherwise None.  The
+    kernel and the preimages are both read off one graph basis.
     """
-    ker = kernel(spec, strict)
+    require_valid(spec, strict)
+    graph = _graph_basis(spec)
+    ker = _graph_kernel(spec, graph)
     if not equal(act(alpha, ker), ker):
         return None
     p, k, n = spec.p, spec.k, spec.ctx.modulus
     b = spec.n - 1
     t = len(spec.factor_orders)
-    graph = _graph_basis(spec)
     pivots = _pivots(graph, p, k)
     rows = []
     for j, q in enumerate(spec.factor_orders):

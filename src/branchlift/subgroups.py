@@ -72,16 +72,19 @@ def _pivots(basis: Sequence[Sequence[int]], p: int, k: int) -> list[tuple[int, i
     return out
 
 
-def howell_reduce(ctx: ModulusContext, width: int, rows: Iterable[Sequence[int]]) -> Matrix:
-    """Unique reduced basis for the row span of ``rows`` over Z/p^k.
+def _howell_columns(pool: list[list[int]], cols: Iterable[int], p: int, k: int,
+                    n: int) -> list[list[int]]:
+    """Howell elimination of the rows in ``pool`` over the columns ``cols``,
+    in order; returns the pivot rows, one per column that has one, and
+    consumes ``pool``.
 
-    One pass over the columns.  Pivoting always picks a minimal-valuation
-    entry in the current column, so every other entry in that column is an
-    exact integer multiple of the pivot and elimination needs no gcd steps.
-    A pivot p^e with e > 0 also leaves its annihilator multiple
-    p^(k-e) * row in the pool; that shadow vanishes on this column and
-    every earlier one, so later columns absorb it and the span stays
-    closed.
+    Pivoting always picks a minimal-valuation entry in the current column,
+    so every other entry in that column is an exact integer multiple of
+    the pivot and elimination needs no gcd steps.  A pivot p^e with e > 0
+    also leaves its annihilator multiple p^(k-e) * row in the pool; that
+    shadow vanishes on this column and every earlier one, so later
+    columns absorb it and the span stays closed.  The rows left in the
+    pool after the last column vanish on every column in ``cols``.
 
     When a pivot row is placed it reduces the entry in its column of every
     row placed before it below its power of p.  Those rows are never
@@ -89,16 +92,8 @@ def howell_reduce(ctx: ModulusContext, width: int, rows: Iterable[Sequence[int]]
     pivot column, so each reduced entry stays reduced and the result is
     the one a separate above-pivot pass after the elimination would give.
     """
-    p, k, n = ctx.p, ctx.k, ctx.modulus
-    pool = []
-    for row in rows:
-        if len(row) != width:
-            raise ValueError(f"row width {len(row)} differs from {width}")
-        r = [x % n for x in row]
-        if any(r):
-            pool.append(r)
     basis: list[list[int]] = []
-    for col in range(width):
+    for col in cols:
         best = -1
         best_v = k
         for idx, r in enumerate(pool):
@@ -136,7 +131,107 @@ def howell_reduce(ctx: ModulusContext, width: int, rows: Iterable[Sequence[int]]
             if c:
                 basis[u] = [(x - c * y) % n for x, y in zip(r, piv)]
         basis.append(piv)
-    return tuple(tuple(r) for r in basis)
+    return basis
+
+
+def howell_reduce(ctx: ModulusContext, width: int, rows: Iterable[Sequence[int]]) -> Matrix:
+    """Unique reduced basis for the row span of ``rows`` over Z/p^k: the
+    ``_howell_columns`` elimination over every column."""
+    p, k, n = ctx.p, ctx.k, ctx.modulus
+    pool = []
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(f"row width {len(row)} differs from {width}")
+        r = [x % n for x in row]
+        if any(r):
+            pool.append(r)
+    return tuple(tuple(r) for r in _howell_columns(pool, range(width), p, k, n))
+
+
+def _reduce_above(row: Sequence[int], pivots: Iterable[tuple[int, int, Sequence[int]]],
+                  n: int) -> Sequence[int]:
+    """Reduce the entries of ``row`` at each pivot column below that pivot.
+
+    ``pivots`` holds (column, pivot entry, pivot row) in ascending column
+    order; each pivot row vanishes left of its column, so a subtraction
+    leaves the entries at earlier pivot columns as they were.
+    """
+    for col, pe, prow in pivots:
+        c = row[col] // pe
+        if c:
+            row = [(x - c * y) % n for x, y in zip(row, prow)]
+    return row
+
+
+def _swap_columns(ctx: ModulusContext, basis: Matrix, c: int) -> Matrix:
+    """The Howell basis of the span of ``basis`` with columns c and c+1
+    swapped, for a Howell basis ``basis``; columns count from 0.
+
+    Write S for the span, S' for its image under the swap, and split the
+    basis by pivot column into A (left of c), B (at c or c+1) and C (right
+    of c+1).  Only B is eliminated again, and only on columns c and c+1:
+
+    * C stays as it is.  By the Howell property C spans the elements of
+      S vanishing on columns 0..c+1.  The swap maps that set onto the
+      elements of S' vanishing there and fixes each of them, so C spans
+      them too, and C keeps its pivots, reduced entries and zeros.
+    * The elements of S vanishing left of c are spanned by B and C, so
+      their images, the elements of S' vanishing left of c, are spanned
+      by swapped B and C.  ``_howell_columns`` on swapped B over column
+      c, then over column c+1 with the shadow of the column-c pivot in
+      the pool, gives new pivot rows at c and c+1 whose span with the
+      pool left over is that of swapped B.  The leftover rows, the shadow
+      of the column-(c+1) pivot among them, vanish on columns 0..c+1, so
+      they lie in the span of C and are dropped.  Hence the new pivot
+      rows and C span the elements of S' vanishing left of c, and for
+      column c+1 the new column-(c+1) pivot row and C span those
+      vanishing left of c+1, as the column-c elimination shows.
+    * For a column j < c the elements of S' vanishing left of j are the
+      images of those of S, spanned by the swapped rows of A pivoting at
+      or right of j together with swapped B and C, and so by those A rows
+      with the new pivot rows and C.  A row of A keeps its pivot, since
+      the swap moves only columns right of it.
+
+    So the rows of A, the new pivot rows and C, in that order, have the
+    Howell property for S'.  What remains is the above-pivot reduction.
+    A row zero at columns c and c+1 is unchanged by the swap and meets no
+    new pivot, so its entries stay reduced.  The new pivot rows come out
+    reduced above each other and are then reduced against the pivots of
+    C; the rows of A nonzero at c or c+1 are reduced in ascending column
+    order against the new pivots and those of C.  Each subtraction
+    changes entries right of its pivot column only, which leaves every
+    entry reduced earlier as it was.  The Howell basis of a span is
+    unique, so the result is ``howell_reduce`` of the swapped rows.
+    """
+    p, k, n = ctx.p, ctx.k, ctx.modulus
+    d = c + 1
+    lo = 0
+    while lo < len(basis) and any(basis[lo][:c]):
+        lo += 1
+    hi = lo
+    while hi < len(basis) and (basis[hi][c] or basis[hi][d]):
+        hi += 1
+    tail = basis[hi:]
+    if hi == lo:
+        # No pivot at c or c+1: nothing to eliminate or reduce.
+        return (*(r if not (r[c] or r[d]) else (*r[:c], r[d], r[c], *r[d + 1:])
+                  for r in basis[:lo]), *tail)
+    pivots = []
+    for row in tail:
+        col = d + 1
+        while not row[col]:
+            col += 1
+        pivots.append((col, row[col], row))
+    pool = [[*r[:c], r[d], r[c], *r[d + 1:]] for r in basis[lo:hi]]
+    placed = [tuple(_reduce_above(r, pivots, n))
+              for r in _howell_columns(pool, (c, d), p, k, n)]
+    pivots[:0] = [(c if r[c] else d, r[c] or r[d], r) for r in placed]
+    head = [
+        tuple(_reduce_above([*r[:c], r[d], r[c], *r[d + 1:]], pivots, n))
+        if r[c] or r[d] else r
+        for r in basis[:lo]
+    ]
+    return (*head, *placed, *tail)
 
 
 def _check_width(width: int) -> None:
@@ -173,11 +268,16 @@ def span(ctx: ModulusContext, width: int, rows: Iterable[Sequence[int]]) -> Subg
     """The subgroup generated by the given row vectors.
 
     A Howell basis already has the right width and canonical residues, so
-    the instance is filled in directly instead of re-checking every entry
-    in ``Subgroup.__post_init__``.
+    the instance is filled in by ``_trusted_subgroup`` instead of
+    re-checking every entry in ``Subgroup.__post_init__``.
     """
     _check_width(width)
-    basis = howell_reduce(ctx, width, rows)
+    return _trusted_subgroup(ctx, width, howell_reduce(ctx, width, rows))
+
+
+def _trusted_subgroup(ctx: ModulusContext, width: int, basis: Matrix) -> Subgroup:
+    """A ``Subgroup`` from a Howell basis the caller has just computed,
+    filled in without ``__post_init__``'s re-checks."""
     sub = object.__new__(Subgroup)
     object.__setattr__(sub, "ctx", ctx)
     object.__setattr__(sub, "width", width)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,8 @@ from branchlift import (
     equivalent,
     fully_liftable,
     generators,
+    howell_reduce,
+    invariant_under,
     kernel,
     order,
     predict_liftable,
@@ -31,6 +34,7 @@ from branchlift import (
 )
 from branchlift import action, census
 from branchlift.census import atlas_filename
+from branchlift.subgroups import _swap_columns
 from conftest import ACCEPTANCE_GRID, all_perms, subgroup_count
 
 
@@ -88,30 +92,95 @@ def test_generators_are_involutions():
 def test_orbit_walk_acts_along_each_edge_once(monkeypatch, walk, p, k, b):
     # The walked subgroups and generators, listed without the walk.  The
     # census walks the forms of rank below b, whose quotient has exponent
-    # exactly p^k, under generators(b); the enumeration walks every
-    # subgroup under the adjacent column swaps.
+    # exactly p^k, under the transpositions (n 1), (1 2), ..., (b-1 b),
+    # the adjacent column swaps of its lifted bases; the enumeration walks
+    # every subgroup under the adjacent column swaps.
+    adjacent = [Perm.transposition(b + 1, i, i + 1) for i in range(1, b)]
     if walk == "classify":
         walked = [rebuild(f) for f in enumerate_subgroups(p, k, b) if f.rank < b]
-        gens = generators(b)
+        gens = [Perm.transposition(b + 1, b + 1, 1), *adjacent]
     else:
         walked = [rebuild(f) for f in enumerate_subgroups(p, k, b)]
-        gens = [Perm.transposition(b + 1, i, i + 1) for i in range(1, b)]
+        gens = adjacent
     fixed = sum(action.act(g, sub) == sub for sub in walked for g in gens)
     calls = []
-    real_act = census.act
+    real_swap = census._swap_columns
 
-    def counting_act(alpha, sub):
-        calls.append(alpha)
-        return real_act(alpha, sub)
+    def counting_swap(ctx, basis, c):
+        calls.append(c)
+        return real_swap(ctx, basis, c)
 
-    monkeypatch.setattr(census, "act", counting_act)
+    monkeypatch.setattr(census, "_swap_columns", counting_swap)
     if walk == "classify":
         assert classify(p, k, b + 1).subgroups_seen == len(walked)
     else:
         assert sum(1 for _ in enumerate_subgroups(p, k, b)) == len(walked)
-    # Each fixed pair costs one call, each other generator edge one call
+    # Each fixed pair costs one swap, each other generator edge one swap
     # for its two ends.
     assert len(calls) == fixed + (len(gens) * len(walked) - fixed) // 2
+
+
+@pytest.mark.parametrize("p,k,b", [(2, 2, 3), (3, 1, 3)])
+def test_lifted_swaps_act_as_transpositions(p, k, b):
+    # With lifted columns ordered (n, 1, ..., b), swap 0 is the
+    # transposition (1 n) and swap c > 0 is (c c+1).
+    ctx = ModulusContext(p, k)
+    taus = [Perm.transposition(b + 1, 1, b + 1)]
+    taus += [Perm.transposition(b + 1, c, c + 1) for c in range(1, b)]
+    for form in enumerate_subgroups(p, k, b):
+        sub = rebuild(form)
+        lifted = census._lift(ctx, b, sub.basis)
+        assert howell_reduce(ctx, b + 1, lifted) == lifted
+        assert census._unlift(lifted) == sub.basis
+        for c, tau in enumerate(taus):
+            moved = act(tau, sub).basis
+            swapped = _swap_columns(ctx, lifted, c)
+            assert census._unlift(swapped) == moved
+            assert swapped == census._lift(ctx, b, moved)
+
+
+def _partitions(n, largest=None):
+    """The partitions of n, parts in descending order."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part, *rest)
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 4), (2, 2, 4), (3, 1, 4), (3, 1, 5)])
+def test_orbit_count_matches_burnside(census_cache, p, k, n):
+    # Burnside: the number of orbits is the average number of fixed points,
+    # summed here over the conjugacy classes of S_n; a class of cycle type
+    # with centralizer order z has n!/z elements.  The walked subgroups
+    # are the column permutations of the rank-below-b identity-form spans,
+    # listed without any orbit walk.
+    b = n - 1
+    ctx = ModulusContext(p, k)
+    column_perms = [g for g in all_perms(n) if g(n) == n]
+    walked = {
+        act(beta, rebuild(form)).basis
+        for form in census._identity_forms(ctx, b, max_rank=b - 1)
+        for beta in column_perms
+    }
+    subs = [span(ctx, b, basis) for basis in walked]
+    total = 0
+    for cycle_type in _partitions(n):
+        images, start, centralizer = [], 1, 1
+        for length in cycle_type:
+            images += [*range(start + 1, start + length), start]
+            start += length
+            centralizer *= length
+        for length in set(cycle_type):
+            centralizer *= factorial(cycle_type.count(length))
+        rep = Perm(images)
+        total += factorial(n) // centralizer * sum(invariant_under(s, rep) for s in subs)
+    orbits, rest = divmod(total, factorial(n))
+    assert rest == 0
+    report = census_cache(p, k, n)
+    assert len(walked) == report.subgroups_seen
+    assert orbits == len(report.classes) + report.dropped_unbranched
 
 
 @pytest.mark.parametrize("p,k,b", [(2, 2, 2), *ENUMERATED_GROUPS])

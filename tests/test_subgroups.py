@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from branchlift import (
     subgroup_to_json,
 )
 from branchlift.census import _identity_forms
+from branchlift.subgroups import _swap_columns
 from conftest import brute_all_subgroups, brute_span
 
 Z4 = ModulusContext(2, 2)
@@ -113,6 +115,33 @@ def test_howell_idempotent_and_span_preserving(data, ctx, width):
     for c in range(1, width):
         tail = [row for row, lead in zip(basis, leads) if lead >= c]
         assert {v for v in full if not any(v[:c])} == brute_span(ctx, width, tail)
+
+
+def _random_rows(rng, ctx, width):
+    """Sparse rows, some multiplied through by a power of p, so that the
+    bases have zero columns and pivots of every valuation."""
+    p, k, n = ctx.p, ctx.k, ctx.modulus
+    rows = []
+    for _ in range(rng.randint(0, width + 2)):
+        row = [rng.randrange(n) if rng.random() < 0.5 else 0 for _ in range(width)]
+        if rng.random() < 0.5:
+            scale = p ** rng.randint(1, k)
+            row = [x * scale % n for x in row]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_swap_columns_matches_full_reduction(seed):
+    # The local update against a full Howell reduction of the swapped rows.
+    rng = random.Random(seed)
+    for _ in range(400):
+        ctx = ModulusContext(rng.choice([2, 3, 5]), rng.randint(1, 4))
+        width = rng.randint(2, 7)
+        basis = howell_reduce(ctx, width, _random_rows(rng, ctx, width))
+        for c in range(width - 1):
+            swapped = [[*r[:c], r[c + 1], r[c], *r[c + 2:]] for r in basis]
+            assert _swap_columns(ctx, basis, c) == howell_reduce(ctx, width, swapped)
 
 
 @settings(max_examples=100, deadline=None)
