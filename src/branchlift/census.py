@@ -41,6 +41,7 @@ from .modular import Matrix, ModulusContext, Perm
 from .subgroups import (
     CanonicalForm,
     Subgroup,
+    _check_width,
     _pivots,
     _reduce_above,
     _swap_columns,
@@ -48,8 +49,8 @@ from .subgroups import (
     _trusted_subgroup,
     canonical_form,
     contains,
+    generating_rows,
     order,
-    rebuild,
     span,
     subgroup_to_json,
 )
@@ -102,6 +103,15 @@ def _identity_forms(ctx: ModulusContext, width: int,
     theorem every subgroup is a column permutation of some emitted span.
     Restricting ``max_rank`` below the width keeps only subgroups whose
     quotient has exponent exactly p^k.
+
+    The ``generating_rows`` of an emitted form are already the (unique)
+    Howell basis of its span, so the orbit walks seed from them unreduced.
+    Row i is p^(e_i) U_i, U unit upper-triangular and e_i < k weakly
+    increasing, so it pivots at column i with entry p^(e_i).  Any multiple that kills a row's pivot kills the
+    whole row, so no annihilator shadow is needed: in an element of the
+    span vanishing left of column j, the first row i < j with a nonzero
+    multiple would leave a nonzero entry at column i.  The cofactor bounds
+    0 <= U[i][j] < p^(e_j - e_i) are exactly the above-pivot reduction.
     """
     p, k = ctx.p, ctx.k
     top = width if max_rank is None else max_rank
@@ -182,9 +192,7 @@ def _lift(ctx: ModulusContext, width: int, basis: Matrix) -> Matrix:
     (0 | x) with x in the subgroup, so its Howell basis is
     (1 | ones reduced above the subgroup's pivots) on top of (0 | row).
     """
-    pivots = [(col, ctx.p ** e, row)
-              for row, (col, e) in zip(basis, _pivots(basis, ctx.p, ctx.k))]
-    ones = _reduce_above([1] * width, pivots, ctx.modulus)
+    ones = _reduce_above([1] * width, _pivots(basis), ctx.modulus)
     return ((1, *ones), *((0, *row) for row in basis))
 
 
@@ -206,12 +214,13 @@ def enumerate_subgroups(p: int, k: int, b: int,
     then the rest of its orbit under column permutations, breadth first.
     """
     _check_bound(p, k, b, bound)
+    _check_width(b)
     ctx = ModulusContext(p, k)
     visited: set[Matrix] = set()
-    for seed in map(rebuild, _identity_forms(ctx, b)):
-        if seed.basis in visited:
+    for seed in map(generating_rows, _identity_forms(ctx, b)):
+        if seed in visited:
             continue
-        for basis in _orbit(ctx, seed.basis, range(b - 1), visited):
+        for basis in _orbit(ctx, seed, range(b - 1), visited):
             yield canonical_form(_trusted_subgroup(ctx, b, basis))
 
 
@@ -331,6 +340,7 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
         raise ValueError("use classify_two_points for n = 2")
     b = n - 1
     _check_bound(p, k, b, bound)
+    _check_width(b)
     ctx = ModulusContext(p, k)
     start = time.perf_counter()
 
@@ -342,10 +352,10 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
     visited: set[Matrix] = set()
     records = []
     dropped = 0
-    for seed in map(rebuild, _identity_forms(ctx, b, max_rank=b - 1)):
-        if seed.basis in visited:
+    for seed in map(generating_rows, _identity_forms(ctx, b, max_rank=b - 1)):
+        if seed in visited:
             continue
-        lifted = _lift(ctx, b, seed.basis)
+        lifted = _lift(ctx, b, seed)
         orbit = list(_orbit(ctx, lifted, range(b), visited, _unlift))
         rep = _trusted_subgroup(ctx, b, min(orbit))
         if strict and any(contains(rep, v) for v in points):
@@ -585,8 +595,8 @@ def atlas_filename(p: int, k: int, n: int) -> str:
 def write_atlas(report: CensusReport, directory: str | Path) -> Path:
     """Write one JSON document per census run.
 
-    When the semantic content (everything except the timing) matches what
-    is already on disk, the existing file is left byte-identical, so
+    When the file on disk is a JSON object whose semantic content
+    (everything except the timing) matches, it is left byte-identical, so
     repeated runs do not churn diffs.  Otherwise the document is written
     to a temporary file beside the target and renamed onto it, so a failed
     write leaves the previous file intact.
@@ -600,7 +610,7 @@ def write_atlas(report: CensusReport, directory: str | Path) -> Path:
             old = json.loads(path.read_text())
         except ValueError:
             old = None
-        if old is not None:
+        if isinstance(old, dict):
             stale = dict(old)
             fresh = dict(doc)
             stale.pop("elapsed_ms", None)

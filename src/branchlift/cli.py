@@ -68,7 +68,10 @@ def _fail(message: str, code: int) -> int:
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    return data
 
 
 def _parse_matrix(text: str) -> list[list[int]]:
@@ -110,7 +113,7 @@ def cmd_check(args) -> int:
     strict = not args.lax
     try:
         spec = _cover_from_args(args)
-    except (OSError, ValueError, KeyError, CoverValidationError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, CoverValidationError) as exc:
         return _fail(f"invalid cover input: {exc}", 2)
 
     if isinstance(spec, GeneralCoverSpec):
@@ -179,7 +182,7 @@ def cmd_canonical(args) -> int:
             if width <= 0:
                 raise ValueError("cannot infer the ambient rank; pass --m")
             sub = span(ctx, width, rows)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         return _fail(f"invalid subgroup input: {exc}", 2)
 
     form = canonical_form(sub)

@@ -21,7 +21,7 @@ from .subgroups import (
     CanonicalForm,
     Subgroup,
     _pivots,
-    _reduce_against,
+    _reduce_above,
     equal,
     howell_reduce,
     order,
@@ -278,22 +278,26 @@ def induced_deck_automorphism(spec: CoverSpec, alpha: Perm,
     deck group compatible with alpha on loop images; it is returned as one
     row per standard generator of the deck group.  Otherwise None.  The
     kernel and the preimages are both read off one graph basis.
+
+    A pivot past the deck columns belongs to a row (0 | y) with y in the
+    kernel, so reducing past one that does not divide changes a preimage
+    only by kernel elements, which alpha preserves and the cover map kills.
     """
     require_valid(spec, strict)
     graph = _graph_basis(spec)
     ker = _graph_kernel(spec, graph)
     if not equal(act(alpha, ker), ker):
         return None
-    p, k, n = spec.p, spec.k, spec.ctx.modulus
+    n = spec.ctx.modulus
     b = spec.n - 1
     t = len(spec.factor_orders)
-    pivots = _pivots(graph, p, k)
+    pivots = _pivots(graph)
     rows = []
     for j, q in enumerate(spec.factor_orders):
         # Reducing (generator | 0) leaves (0 | -x) for a preimage x.
         target = [0] * (t + b)
         target[j] = n // q
-        left = _reduce_against(target, graph, pivots, p, n)
+        left = _reduce_above(target, pivots, n)
         if any(left[:t]):
             raise CoverValidationError([NOT_SURJECTIVE], "generator has no preimage")
         sol = [-x for x in left[t:]]

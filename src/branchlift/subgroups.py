@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Iterable, Iterator, Sequence
 
 from .modular import (
@@ -45,30 +46,15 @@ __all__ = [
 ]
 
 
-def _reduce_against(vec: list[int], basis: Sequence[Sequence[int]],
-                    pivots: Sequence[tuple[int, int]], p: int, n: int) -> list[int]:
-    """Greedy reduction of a vector against an echelon basis.
-
-    On a Howell basis the result is zero exactly when the vector lies in
-    the span.
-    """
-    v = list(vec)
-    for row, (col, e) in zip(basis, pivots):
-        a = v[col]
-        if a:
-            pe = p ** e
-            if a % pe:
-                break
-            c = a // pe
-            v = [(x - c * y) % n for x, y in zip(v, row)]
-    return v
-
-
-def _pivots(basis: Sequence[Sequence[int]], p: int, k: int) -> list[tuple[int, int]]:
+def _pivots(basis: Sequence[Sequence[int]]) -> list[tuple[int, int, Sequence[int]]]:
+    """(column, pivot entry, row) for each row of an echelon basis, in
+    order; on a Howell basis each pivot entry is a power of p."""
     out = []
     for row in basis:
-        col = next(j for j, x in enumerate(row) if x)
-        out.append((col, _val(row[col], p, k)))
+        col = 0
+        while not row[col]:
+            col += 1
+        out.append((col, row[col], row))
     return out
 
 
@@ -152,9 +138,11 @@ def _reduce_above(row: Sequence[int], pivots: Iterable[tuple[int, int, Sequence[
                   n: int) -> Sequence[int]:
     """Reduce the entries of ``row`` at each pivot column below that pivot.
 
-    ``pivots`` holds (column, pivot entry, pivot row) in ascending column
-    order; each pivot row vanishes left of its column, so a subtraction
-    leaves the entries at earlier pivot columns as they were.
+    ``pivots`` is ``_pivots`` of an echelon basis; each pivot row vanishes
+    left of its column, so a subtraction leaves the entries at earlier
+    pivot columns as they were.  Against a Howell basis the result is zero
+    exactly when ``row`` lies in the span: a member's first nonzero entry
+    is a multiple of the pivot in its column, by the Howell property.
     """
     for col, pe, prow in pivots:
         c = row[col] // pe
@@ -216,16 +204,11 @@ def _swap_columns(ctx: ModulusContext, basis: Matrix, c: int) -> Matrix:
         # No pivot at c or c+1: nothing to eliminate or reduce.
         return (*(r if not (r[c] or r[d]) else (*r[:c], r[d], r[c], *r[d + 1:])
                   for r in basis[:lo]), *tail)
-    pivots = []
-    for row in tail:
-        col = d + 1
-        while not row[col]:
-            col += 1
-        pivots.append((col, row[col], row))
+    pivots = _pivots(tail)
     pool = [[*r[:c], r[d], r[c], *r[d + 1:]] for r in basis[lo:hi]]
     placed = [tuple(_reduce_above(r, pivots, n))
               for r in _howell_columns(pool, (c, d), p, k, n)]
-    pivots[:0] = [(c if r[c] else d, r[c] or r[d], r) for r in placed]
+    pivots[:0] = _pivots(placed)
     head = [
         tuple(_reduce_above([*r[:c], r[d], r[c], *r[d + 1:]], pivots, n))
         if r[c] or r[d] else r
@@ -291,13 +274,14 @@ def _same_ambient(a: Subgroup, b: Subgroup) -> None:
 
 
 def contains(sub: Subgroup, vec: Sequence[int]) -> bool:
-    """Membership of a vector in the span."""
+    """Membership of a vector in the span.  A pivot entry that does not
+    divide the vector's entry in its column leaves a nonzero remainder
+    there, which later pivot rows keep, so such a vector is rejected."""
     if len(vec) != sub.width:
         raise ValueError(f"vector width {len(vec)} differs from {sub.width}")
-    p, k, n = sub.ctx.p, sub.ctx.k, sub.ctx.modulus
+    n = sub.ctx.modulus
     v = [x % n for x in vec]
-    pivots = _pivots(sub.basis, p, k)
-    return not any(_reduce_against(v, sub.basis, pivots, p, n))
+    return not any(_reduce_above(v, _pivots(sub.basis), n))
 
 
 def equal(a: Subgroup, b: Subgroup) -> bool:
@@ -307,18 +291,15 @@ def equal(a: Subgroup, b: Subgroup) -> bool:
 
 
 def order(sub: Subgroup) -> int:
-    """Number of elements, read off the pivot valuations."""
-    p, k = sub.ctx.p, sub.ctx.k
-    total = 0
-    for _, e in _pivots(sub.basis, p, k):
-        total += k - e
-    return p ** total
+    """Number of elements: the product of the basis rows' additive orders,
+    p^k over each pivot entry."""
+    return prod(sub.ctx.modulus // pe for _, pe, _ in _pivots(sub.basis))
 
 
 def elements(sub: Subgroup) -> Iterator[Vector]:
     """All elements; intended for desk-scale checks only."""
-    p, k, n = sub.ctx.p, sub.ctx.k, sub.ctx.modulus
-    ranges = [range(p ** (k - e)) for _, e in _pivots(sub.basis, p, k)]
+    n = sub.ctx.modulus
+    ranges = [range(n // pe) for _, pe, _ in _pivots(sub.basis)]
     for coeffs in product(*ranges):
         vec = [0] * sub.width
         for c, row in zip(coeffs, sub.basis):

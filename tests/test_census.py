@@ -409,6 +409,12 @@ def test_atlas_byte_stability(tmp_path, census_cache):
     assert path.read_bytes() != first
     doc = json.loads(path.read_text())
     assert doc["params"]["strict"] is False
+    # a file that is not a JSON object is replaced, not compared
+    for junk in ("5", '"ab"', "[1, 2]", "null", "{not json"):
+        path.write_text(junk)
+        assert write_atlas(report, tmp_path) == path
+        assert path.read_bytes() == first
+    assert [f.name for f in tmp_path.iterdir()] == [path.name]
 
 
 # SHA-256 of each grid point's atlas document without ``elapsed_ms``,

@@ -63,9 +63,21 @@ def test_check_from_file_and_malformed(tmp_path, capsys):
     assert code == 1  # valid cover, does not lift everything
 
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
+    cover = {"p": 2, "k": 2, "n": 4, "factors": [2, 4]}
+    # malformed documents are invalid input (2), never "not liftable" (1)
+    for text in (
+        "{not json",
+        json.dumps({**cover, "factors": 2, "images": [[1, 1]] * 4}),
+        json.dumps({**cover, "images": None}),
+        json.dumps({**cover, "images": [1, 1, 0, 1, 0, 1, 1, 1]}),
+        json.dumps({"n": 6, "factors": 6, "images": [[1]] * 6}),
+    ):
+        bad.write_text(text)
+        code, _, err = run_cli(capsys, "check", "--input", str(bad))
+        assert code == 2 and "error" in json.loads(err)
+    bad.write_text(json.dumps([cover]))
     code, _, err = run_cli(capsys, "check", "--input", str(bad))
-    assert code == 2 and err
+    assert code == 2 and "not hold a JSON object" in err
 
 
 def test_check_general_cover(capsys):
@@ -97,7 +109,7 @@ def test_canonical_documented_example(capsys):
     assert "round trip: ok" in out
 
 
-def test_canonical_edge_cases(capsys):
+def test_canonical_edge_cases(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "canonical", "--p", "2", "--k", "1", "--m", "2", "--gens", "1,0;0,1",
     )
@@ -108,6 +120,18 @@ def test_canonical_edge_cases(capsys):
     assert code == 0 and "rank 0" in out
     code, _, err = run_cli(capsys, "canonical", "--p", "2", "--k", "1", "--gens", "")
     assert code == 2
+    bad = tmp_path / "sub.json"
+    for text in (
+        json.dumps({"p": 2, "k": 1, "m": 2, "basis": 5}),
+        json.dumps({"p": 2, "k": 1, "m": 2, "basis": [5]}),
+    ):
+        bad.write_text(text)
+        code, _, err = run_cli(capsys, "canonical", "--input", str(bad))
+        assert code == 2 and "error" in json.loads(err)
+    for text in (json.dumps("ab"), json.dumps([[1, 0]])):
+        bad.write_text(text)
+        code, _, err = run_cli(capsys, "canonical", "--input", str(bad))
+        assert code == 2 and "not hold a JSON object" in err
 
 
 def test_classify_text_and_exit(capsys):

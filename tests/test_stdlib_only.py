@@ -10,7 +10,8 @@ def test_package_imports_only_the_standard_library():
     files = sorted(src.glob("*.py"))
     assert files
     for path in files:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from branchlift import (
     ModulusContext,
     Perm,
     canonical_form,
+    classify,
     contains,
     elements,
     enumerate_subgroups,
@@ -25,7 +27,7 @@ from branchlift import (
     subgroup_to_json,
 )
 from branchlift.census import _identity_forms
-from branchlift.subgroups import _swap_columns
+from branchlift.subgroups import _swap_columns, generating_rows
 from conftest import brute_all_subgroups, brute_span
 
 Z4 = ModulusContext(2, 2)
@@ -77,6 +79,12 @@ def test_trusted_span_keeps_its_guards():
         span(Z4, 0, [])
     with pytest.raises(ValueError):
         span(Z4, MAX_RANK + 1, [])
+    # the orbit walks seed from unreduced form rows, so they check the
+    # width themselves, before the first subgroup
+    with pytest.raises(ValueError):
+        next(enumerate_subgroups(2, 1, MAX_RANK + 1))
+    with pytest.raises(ValueError):
+        classify(2, 1, MAX_RANK + 2)
     for ctx, width in ((Z4, 1), (Z4, 3), (Z3, 2)):
         for form in enumerate_subgroups(ctx.p, ctx.k, width):
             sub = rebuild(form)
@@ -203,6 +211,37 @@ def test_enumeration_complete_against_brute_force(ctx, width):
     ours = {frozenset(elements(rebuild(f))) for f in enumerate_subgroups(ctx.p, ctx.k, width)}
     brute = brute_all_subgroups(ctx, width)
     assert ours == brute
+
+
+@pytest.mark.parametrize("p,k,width", [(2, 2, 4), (2, 3, 3), (3, 2, 3), (5, 1, 4), (2, 4, 3)])
+def test_identity_form_rows_are_howell_bases(p, k, width):
+    # the orbit walks seed from these rows without reducing them
+    ctx = ModulusContext(p, k)
+    for form in _identity_forms(ctx, width):
+        rows = generating_rows(form)
+        assert howell_reduce(ctx, width, rows) == rows
+
+
+@pytest.mark.parametrize("ctx,width", [(Z4, 2), (Z2, 3), (Z3, 2), (ModulusContext(2, 3), 2)],
+                         ids=lambda v: str(v))
+def test_contains_and_order_against_brute_span(ctx, width):
+    vectors = list(product(range(ctx.modulus), repeat=width))
+    undivided = 0
+    for f in enumerate_subgroups(ctx.p, ctx.k, width):
+        sub = rebuild(f)
+        members = brute_span(ctx, width, sub.basis)
+        assert order(sub) == len(members)
+        for v in vectors:
+            assert contains(sub, v) == (v in members)
+            # non-members stopped by the first pivot entry, which does not
+            # divide the vector's entry there
+            if sub.basis:
+                col = next(j for j, x in enumerate(sub.basis[0]) if x)
+                if not any(v[:col]) and v[col] % sub.basis[0][col]:
+                    assert v not in members
+                    undivided += 1
+    # over Z/p every pivot entry is 1
+    assert undivided or ctx.k == 1
 
 
 def test_order_examples():
