@@ -24,6 +24,17 @@ and the transpositions (n 1), (1 2), ..., (b-1 b), which generate S_n,
 are the adjacent column swaps.  The lifted Howell basis is
 (1 | ones reduced against K) on top of (0 | row) for each row of K's
 basis, so the walk stores only K's basis.
+
+The walk computes a swap only when the relations of S_n do not already
+give its result.  Write s_i for the swap of columns c_i and c_i + 1.
+Each s_i is an involution, and for i != h, (s_i s_h)^m = 1 with m = 3
+when |c_i - c_h| = 1 (the braid relation) and m = 2 otherwise (disjoint
+transpositions commute).  So s_i x is the end of the word h, i, h, ..., h
+of 2m - 1 letters followed from x.  The walk keeps the swaps it knows in
+a table; when some word for s_i x has every letter in the table, its end
+is taken and no swap is computed.  That end is a basis already found, and
+it is s_i x by the relation, so a deduced edge never hides a new basis:
+when s_i x is new, no word can reach it and the swap is computed.
 """
 
 from __future__ import annotations
@@ -31,7 +42,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from pathlib import Path
@@ -144,6 +154,16 @@ def _same(basis: Matrix) -> Matrix:
     return basis
 
 
+def _follow(table: list[list[int | None]], x: int, word: Sequence[int]) -> int | None:
+    """The end of the path from ``x`` along the swaps in ``word``, or None
+    when the table does not know one of its edges yet."""
+    for letter in word:
+        x = table[x][letter]
+        if x is None:
+            return None
+    return x
+
+
 def _orbit(ctx: ModulusContext, seed: Matrix, swaps: Sequence[int],
            visited: set[Matrix],
            key: Callable[[Matrix], Matrix] = _same) -> Iterator[Matrix]:
@@ -152,32 +172,59 @@ def _orbit(ctx: ModulusContext, seed: Matrix, swaps: Sequence[int],
 
     Yields ``key`` of the seed, then ``key`` of each new basis breadth
     first as soon as it is found, and adds every yielded key to
-    ``visited``; ``key`` must be injective on the orbit.  A swap is an
-    involution, so swapping x to y also swaps y back to x: ``known`` holds,
-    for each found but not yet expanded basis, a bitmask of the swaps
-    whose image is already known, and each orbit edge is walked once.
+    ``visited``; ``key`` must be injective on the orbit.
+
+    The walk keeps its Schreier graph: ``elems`` lists the bases in the
+    order found, ``index`` numbers them, and ``table[x][i]`` is the number
+    of swap i applied to basis x, or None while unknown.  Swap i is an
+    involution, so an edge x -> y is recorded as y -> x too.  Two swaps
+    s_i, s_h at columns c, c' satisfy (s_i s_h)^m = 1, with m = 3 when
+    |c - c'| = 1 (the braid relation of adjacent transpositions) and
+    m = 2 otherwise (disjoint transpositions commute).  Hence s_i equals
+    the word h, i, h, ..., h of 2m - 1 letters, and before swap i is
+    computed at x, each such word is followed from x through the table;
+    if every letter is known the word ends at s_i x.
+
+    A deduced edge never hides a new basis.  A word can only end at a
+    basis in the table, which is already indexed; and where it ends, the
+    relation makes that basis s_i x.  So when s_i x is new no word
+    completes and the swap is computed.  The bases found, and the order
+    they are found in, are those of the walk that computes every edge.
     """
+    words = [
+        [(h, i) * (2 if abs(c - swaps[h]) == 1 else 1) + (h,)
+         for h in range(len(swaps)) if h != i]
+        for i, c in enumerate(swaps)
+    ]
     first = key(seed)
     visited.add(first)
-    known = {seed: 0}
     yield first
-    queue = deque([seed])
-    while queue:
-        cur = queue.popleft()
-        done = known.pop(cur)
+    elems = [seed]
+    index = {seed: 0}
+    table: list[list[int | None]] = [[None] * len(swaps)]
+    # ``elems`` grows as bases are found; reading it in order is the
+    # breadth-first queue.
+    for x, cur in enumerate(elems):
+        row = table[x]
         for i, c in enumerate(swaps):
-            if done >> i & 1:
+            if row[i] is not None:
                 continue
-            moved = _swap_columns(ctx, cur, c)
-            if moved in known:
-                known[moved] |= 1 << i
-                continue
-            found = key(moved)
-            if found not in visited:
-                visited.add(found)
-                known[moved] = 1 << i
-                queue.append(moved)
-                yield found
+            for word in words[i]:
+                y = _follow(table, x, word)
+                if y is not None:
+                    break
+            else:
+                moved = _swap_columns(ctx, cur, c)
+                y = index.get(moved)
+                if y is None:
+                    y = index[moved] = len(elems)
+                    elems.append(moved)
+                    table.append([None] * len(swaps))
+                    found = key(moved)
+                    visited.add(found)
+                    yield found
+            row[i] = y
+            table[y][i] = x
 
 
 def _lift(ctx: ModulusContext, width: int, basis: Matrix) -> Matrix:

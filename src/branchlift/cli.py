@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .modular import ModulusContext
+from .modular import ModulusContext, json_int
 from .subgroups import (
     canonical_form,
     equal,
@@ -96,9 +96,9 @@ def _cover_from_args(args) -> "object":
         if "p" in data:
             return cover_from_json(data)
         return GeneralCoverSpec(
-            int(data["n"]),
-            tuple(int(q) for q in data["factors"]),
-            tuple(tuple(int(x) for x in row) for row in data["images"]),
+            json_int(data["n"]),
+            tuple(json_int(q) for q in data["factors"]),
+            tuple(tuple(json_int(x) for x in row) for row in data["images"]),
         )
     if args.p is None or args.k is None or args.n is None or not args.factors or not args.images:
         raise ValueError("give --input FILE or all of --p --k --n --factors --images")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from .modular import Matrix, ModulusContext, Perm, Vector, inv_unitriangular_int
+from .modular import Matrix, ModulusContext, Perm, Vector, inv_unitriangular_int, json_int
 from .subgroups import (
     CanonicalForm,
     Subgroup,
@@ -401,11 +401,11 @@ def cover_from_json(data: dict) -> CoverSpec:
     """Parse a cover description; the stored last row must make the
     images sum to zero, it is never recomputed."""
     spec = CoverSpec(
-        int(data["p"]),
-        int(data["k"]),
-        int(data["n"]),
-        tuple(int(q) for q in data["factors"]),
-        tuple(tuple(int(x) for x in row) for row in data["images"]),
+        json_int(data["p"]),
+        json_int(data["k"]),
+        json_int(data["n"]),
+        tuple(json_int(q) for q in data["factors"]),
+        tuple(tuple(json_int(x) for x in row) for row in data["images"]),
     )
     for j, q in enumerate(spec.factor_orders):
         if sum(row[j] for row in spec.images) % q:

@@ -70,6 +70,15 @@ def _val(a: int, p: int, k: int) -> int:
     return t
 
 
+def json_int(value: object) -> int:
+    """``value`` itself if it is an integer read from JSON.  Anything else,
+    booleans and floats included, raises TypeError rather than being
+    converted, so a document never passes with a truncated number."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 class Perm:
     """A permutation of {1, ..., m}.
 

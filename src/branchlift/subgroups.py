@@ -27,6 +27,7 @@ from .modular import (
     Perm,
     Vector,
     _val,
+    json_int,
 )
 
 __all__ = [
@@ -496,7 +497,7 @@ def subgroup_to_json(sub: Subgroup) -> dict:
 
 
 def subgroup_from_json(data: dict) -> Subgroup:
-    ctx = ModulusContext(int(data["p"]), int(data["k"]))
-    width = int(data["m"])
-    rows = [[int(x) for x in row] for row in data.get("basis", [])]
+    ctx = ModulusContext(json_int(data["p"]), json_int(data["k"]))
+    width = json_int(data["m"])
+    rows = [[json_int(x) for x in row] for row in data.get("basis", [])]
     return span(ctx, width, rows)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import deque
 from math import factorial
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from branchlift import (
 )
 from branchlift import action, census
 from branchlift.census import atlas_filename
-from branchlift.subgroups import _swap_columns
+from branchlift.subgroups import _swap_columns, generating_rows
 from conftest import ACCEPTANCE_GRID, all_perms, subgroup_count
 
 
@@ -87,9 +88,10 @@ def test_generators_are_involutions():
 
 
 @pytest.mark.parametrize(
-    "walk,p,k,b", [("classify", 2, 2, 4), ("enumerate", 2, 2, 3), ("enumerate", 3, 1, 3)]
+    "walk,p,k,b,swaps",
+    [("classify", 2, 2, 4, 2023), ("enumerate", 2, 2, 3, 134), ("enumerate", 3, 1, 3, 32)],
 )
-def test_orbit_walk_acts_along_each_edge_once(monkeypatch, walk, p, k, b):
+def test_orbit_walk_swaps_only_undeduced_edges(monkeypatch, walk, p, k, b, swaps):
     # The walked subgroups and generators, listed without the walk.  The
     # census walks the forms of rank below b, whose quotient has exponent
     # exactly p^k, under the transpositions (n 1), (1 2), ..., (b-1 b),
@@ -102,7 +104,20 @@ def test_orbit_walk_acts_along_each_edge_once(monkeypatch, walk, p, k, b):
     else:
         walked = [rebuild(f) for f in enumerate_subgroups(p, k, b)]
         gens = adjacent
-    fixed = sum(action.act(g, sub) == sub for sub in walked for g in gens)
+    images = {sub.basis: [action.act(g, sub).basis for g in gens] for sub in walked}
+    fixed = sum(y == x for x, ys in images.items() for y in ys)
+    # The orbits are the connected components of the generator graph.
+    root = {x: x for x in images}
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for x, ys in images.items():
+        for y in ys:
+            root[find(y)] = find(x)
+    orbits = len({find(x) for x in images})
     calls = []
     real_swap = census._swap_columns
 
@@ -115,9 +130,50 @@ def test_orbit_walk_acts_along_each_edge_once(monkeypatch, walk, p, k, b):
         assert classify(p, k, b + 1).subgroups_seen == len(walked)
     else:
         assert sum(1 for _ in enumerate_subgroups(p, k, b)) == len(walked)
-    # Each fixed pair costs one swap, each other generator edge one swap
-    # for its two ends.
-    assert len(calls) == fixed + (len(gens) * len(walked) - fixed) // 2
+    assert len(calls) == swaps
+    # Swapping each edge once costs one swap per fixed pair and one per
+    # other edge for its two ends; the relations deduce some of those
+    # edges.  Every subgroup but an orbit's seed is found by a swap.
+    assert len(walked) - orbits <= len(calls) < fixed + (len(gens) * len(walked) - fixed) // 2
+
+
+def _reference_orbit(ctx, seed, swaps, key):
+    """Breadth-first orbit of ``seed`` that swaps along every edge and
+    deduces none, in the order the bases are found."""
+    seen = {seed}
+    queue = deque([seed])
+    out = [key(seed)]
+    while queue:
+        cur = queue.popleft()
+        for c in swaps:
+            moved = _swap_columns(ctx, cur, c)
+            if moved not in seen:
+                seen.add(moved)
+                queue.append(moved)
+                out.append(key(moved))
+    return out
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 5), (2, 2, 4), (3, 1, 4)])
+def test_orbit_walk_matches_reference_on_census_lifts(p, k, n):
+    b = n - 1
+    ctx = ModulusContext(p, k)
+    for form in census._identity_forms(ctx, b, max_rank=b - 1):
+        lifted = census._lift(ctx, b, generating_rows(form))
+        visited = set()
+        walked = list(census._orbit(ctx, lifted, range(b), visited, census._unlift))
+        assert walked == _reference_orbit(ctx, lifted, range(b), census._unlift)
+        assert visited == set(walked)
+
+
+@pytest.mark.parametrize("p,k,b", ENUMERATED_GROUPS)
+def test_orbit_walk_matches_reference_on_subgroups(p, k, b):
+    ctx = ModulusContext(p, k)
+    for seed in map(generating_rows, census._identity_forms(ctx, b)):
+        visited = set()
+        walked = list(census._orbit(ctx, seed, range(b - 1), visited))
+        assert walked == _reference_orbit(ctx, seed, range(b - 1), census._same)
+        assert visited == set(walked)
 
 
 @pytest.mark.parametrize("p,k,b", [(2, 2, 3), (3, 1, 3)])
@@ -417,7 +473,8 @@ def test_atlas_byte_stability(tmp_path, census_cache):
     assert [f.name for f in tmp_path.iterdir()] == [path.name]
 
 
-# SHA-256 of each grid point's atlas document without ``elapsed_ms``,
+# SHA-256 of the atlas document without ``elapsed_ms`` at each acceptance
+# grid point and at the benchmark's census points outside that grid,
 # pinned when the census output was last known good.  A change here means
 # the census output changed.
 ATLAS_SHA256 = {
@@ -430,10 +487,13 @@ ATLAS_SHA256 = {
     (2, 2, 5): "fb98c53bf640aec812e8dbc7221cbacddd6af5080e92610b2c13d82ed1c5c7a2",
     (2, 2, 6): "5b27c0e5979796e3898e15a538ca15aa2ef17e61f48888963bfeaf12b120742c",
     (3, 2, 3): "20b2e64066adff25c7a1d535a15e6f2fd12ca8dfa7f42009e2c8d4f5a3d56252",
+    (2, 1, 7): "44dcc5609e8d80513ea8fbc6dc646e0d3ad73c2e37c22b2b05dc9277b98c4806",
+    (2, 3, 4): "5286ef8e4779e3be471f3d27a2c0e911ef790e1cdd746cceb5f3a4501157e778",
+    (3, 1, 5): "69e96fa0d4e66722a9ecd6ececfa42ff1f1443aa472267bb6ed480ff95813656",
 }
 
 
-@pytest.mark.parametrize("p,k,n", [pt[:3] for pt in ACCEPTANCE_GRID])
+@pytest.mark.parametrize("p,k,n", list(ATLAS_SHA256))
 def test_atlas_document_pinned(census_cache, p, k, n):
     doc = report_to_json(census_cache(p, k, n))
     doc.pop("elapsed_ms")

@@ -80,6 +80,29 @@ def test_check_from_file_and_malformed(tmp_path, capsys):
     assert code == 2 and "not hold a JSON object" in err
 
 
+def test_json_input_numbers_must_be_integers(tmp_path, capsys):
+    # A float or a boolean is invalid input, never truncated to an integer.
+    bad = tmp_path / "bad.json"
+    cover = {"p": 2.7, "k": 1, "n": 3, "factors": [2], "images": [[1], [1.2], [0]]}
+    for text in (
+        json.dumps(cover),
+        json.dumps({**cover, "p": 2, "images": [[1], [True], [0]]}),
+        json.dumps({"n": 6.0, "factors": [6], "images": [[1]] * 6}),
+        json.dumps({"n": 6, "factors": [6], "images": [["1"]] * 6}),
+    ):
+        bad.write_text(text)
+        code, _, err = run_cli(capsys, "check", "--input", str(bad), "--lax")
+        assert code == 2 and "error" in json.loads(err)
+    for text in (
+        json.dumps({"p": 2, "k": 1, "m": 2, "basis": [[1.9, 0]]}),
+        json.dumps({"p": 2, "k": True, "m": 2, "basis": [[1, 0]]}),
+        json.dumps({"p": 2, "k": 1, "m": 2.0, "basis": [[1, 0]]}),
+    ):
+        bad.write_text(text)
+        code, _, err = run_cli(capsys, "canonical", "--input", str(bad))
+        assert code == 2 and "error" in json.loads(err)
+
+
 def test_check_general_cover(capsys):
     code, out, _ = run_cli(
         capsys, "check", "--input", "/dev/null/nope",
