@@ -21,7 +21,8 @@ from operator import mul
 from typing import Sequence
 
 from .modular import Matrix, Perm
-from .subgroups import CanonicalForm, Subgroup, canonical_form, equal, span
+from .subgroups import (CanonicalForm, Subgroup, _trusted_form, _trusted_subgroup,
+                        canonical_form, equal, generating_rows, span)
 
 __all__ = [
     "OmegaNotIdentityError",
@@ -168,19 +169,33 @@ def fully_liftable(sub: Subgroup) -> LiftVerdict:
     return LiftVerdict(True, None)
 
 
-def omega_normalize(sub: Subgroup) -> tuple[Subgroup, CanonicalForm]:
-    """Replace a subgroup by its twin with trivial column permutation.
+def _omega_twin(form: CanonicalForm) -> CanonicalForm:
+    """The form (e, U, id) of the same exponents and cofactor as ``form``,
+    with the column permutation dropped; see ``omega_normalize``."""
+    return _trusted_form(form.ctx, form.width, form.rank, form.exponents,
+                         form.upper, Perm.identity(form.width))
 
-    Acting by the inverse column permutation (a permutation of the first b
-    points) turns the normal form's trailing permutation into the identity;
-    one round always suffices.
+
+def omega_normalize(sub: Subgroup) -> tuple[Subgroup, CanonicalForm]:
+    """The twin of a subgroup with trivial column permutation, and its form.
+
+    Let (e, U, w) be the normal form of the subgroup.  The twin is its
+    image under beta, the inverse of w acting on the first b points.  By
+    ``generating_rows`` the subgroup is spanned by the rows x with
+    x_j = p^(e_i) U[i][w(j)].  Since beta fixes the last point and
+    x_n = 0, beta moves x to y with y_j = x_(w^-1(j)) = p^(e_i) U[i][j],
+    so the twin is spanned by the rows of the form (e, U, id).
+
+    Those rows are the twin's Howell basis (``census._identity_bases``).
+    On them ``canonical_form`` pivots at row i and column i in turn:
+    column i is the first remaining column holding an entry of the
+    least remaining valuation e_i, and row i is the only remaining row
+    nonzero there.  Nothing is eliminated, the column order stays the
+    identity, and the bounds on U leave it unreduced.  So the twin's
+    normal form is (e, U, id), and both are read off the form at once.
     """
     form = canonical_form(sub)
     if form.colperm.is_identity:
         return sub, form
-    beta = form.colperm.inverse().extend(sub.width + 1)
-    moved = act(beta, sub)
-    form2 = canonical_form(moved)
-    if not form2.colperm.is_identity:
-        raise AssertionError("column permutation did not normalize in one round")
-    return moved, form2
+    twin = _omega_twin(form)
+    return _trusted_subgroup(sub.ctx, sub.width, generating_rows(twin)), twin

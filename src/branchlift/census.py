@@ -10,9 +10,12 @@ compares the liftable classes against a closed-form prediction:
             p^(k-r) | n;
   family 3: deck group Z/p^k with p^k | n, all loop images 1.
 
-Enumeration walks normal forms with trivial column permutation and closes
-under column permutations, which reaches every subgroup; a class is fully
-liftable exactly when its orbit is a single subgroup.
+Enumeration seeds from the Howell bases of the normal forms with trivial
+column permutation, written down from the forms (``_identity_bases``),
+and closes them under column permutations, which reaches every subgroup;
+a class is fully liftable exactly when its orbit is a single subgroup.
+``_orbit`` walks one orbit and yields each of its bases once; the caller
+keeps the bases seen across orbits and skips seeds already reached.
 
 Both walks move Howell bases by adjacent column swaps, each one a local
 update (``subgroups._swap_columns``) that re-eliminates only the rows
@@ -23,18 +26,9 @@ preimage in (Z/p^k)^n under x -> (x_j - x_n)_j, with columns ordered
 and the transpositions (n 1), (1 2), ..., (b-1 b), which generate S_n,
 are the adjacent column swaps.  The lifted Howell basis is
 (1 | ones reduced against K) on top of (0 | row) for each row of K's
-basis, so the walk stores only K's basis.
-
-The walk computes a swap only when the relations of S_n do not already
-give its result.  Write s_i for the swap of columns c_i and c_i + 1.
-Each s_i is an involution, and for i != h, (s_i s_h)^m = 1 with m = 3
-when |c_i - c_h| = 1 (the braid relation) and m = 2 otherwise (disjoint
-transpositions commute).  So s_i x is the end of the word h, i, h, ..., h
-of 2m - 1 letters followed from x.  The walk keeps the swaps it knows in
-a table; when some word for s_i x has every letter in the table, its end
-is taken and no swap is computed.  That end is a basis already found, and
-it is s_i x by the relation, so a deduced edge never hides a new basis:
-when s_i x is new, no word can reach it and the swap is computed.
+basis, so the walk stores only K's basis.  A swap is computed only when
+the relations of S_n do not already give its result; ``_orbit`` proves
+that such a deduced edge never hides a new basis.
 """
 
 from __future__ import annotations
@@ -45,7 +39,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .modular import Matrix, ModulusContext, Perm
 from .subgroups import (
@@ -55,16 +49,14 @@ from .subgroups import (
     _pivots,
     _reduce_above,
     _swap_columns,
-    _trusted_form,
     _trusted_subgroup,
     canonical_form,
     contains,
-    generating_rows,
     order,
     span,
     subgroup_to_json,
 )
-from .action import fully_liftable, omega_normalize
+from .action import _omega_twin, fully_liftable, omega_normalize
 from .covers import (
     CoverSpec,
     cover_from_form,
@@ -105,53 +97,49 @@ def _check_bound(p: int, k: int, b: int, bound: int) -> None:
         )
 
 
-def _identity_forms(ctx: ModulusContext, width: int,
-                    max_rank: int | None = None) -> Iterator[CanonicalForm]:
-    """All normal forms with trivial column permutation, in a fixed order.
+def _identity_bases(ctx: ModulusContext, width: int,
+                    max_rank: int | None = None) -> Iterator[Matrix]:
+    """The Howell bases of the spans of all normal forms (e, U, id) with
+    trivial column permutation, in a fixed order; row i is p^(e_i) U_i.
 
     Cofactor entries range over their full bounds, so by the normal-form
     theorem every subgroup is a column permutation of some emitted span.
     Restricting ``max_rank`` below the width keeps only subgroups whose
     quotient has exponent exactly p^k.
 
-    The ``generating_rows`` of an emitted form are already the (unique)
-    Howell basis of its span, so the orbit walks seed from them unreduced.
-    Row i is p^(e_i) U_i, U unit upper-triangular and e_i < k weakly
-    increasing, so it pivots at column i with entry p^(e_i).  Any multiple that kills a row's pivot kills the
-    whole row, so no annihilator shadow is needed: in an element of the
-    span vanishing left of column j, the first row i < j with a nonzero
-    multiple would leave a nonzero entry at column i.  The cofactor bounds
-    0 <= U[i][j] < p^(e_j - e_i) are exactly the above-pivot reduction.
+    The rows are the Howell basis of their span.  U is unit
+    upper-triangular and e_i < k weakly increasing, so row i pivots at
+    column i with entry p^(e_i), and the bounds 0 <= U[i][j] <
+    p^(e_j - e_i) put p^(e_i) U[i][j] below the pivot p^(e_j) of column j
+    (below p^k past the rank), which is the above-pivot reduction.  Any
+    multiple that kills a row's pivot kills the whole row, so no
+    annihilator shadow is needed: in an element of the span vanishing
+    left of column j, the first row i < j with a nonzero multiple would
+    leave a nonzero entry at column i.
+
+    Distinct forms give distinct spans.  The Howell basis of a span is
+    unique, and it gives the form back: the rank is its number of rows,
+    e_i is the valuation of row i's pivot, and U_i is row i divided by
+    p^(e_i), an exact division of entries below p^k.
     """
     p, k = ctx.p, ctx.k
     top = width if max_rank is None else max_rank
-    ident = Perm.identity(width)
     for rank in range(top + 1):
         for exps in combinations_with_replacement(range(k), rank):
             full = exps + (k,) * (width - rank)
             free = [
-                (i, j, p ** (full[j] - full[i]))
+                (i, j, p ** full[i], p ** (full[j] - full[i]))
                 for i in range(rank)
                 for j in range(i + 1, width)
                 if full[j] > full[i]
             ]
-            base = [[1 if i == j else 0 for j in range(width)] for i in range(width)]
-            for values in product(*(range(bound) for _, _, bound in free)):
+            base = [[p ** e if i == j else 0 for j in range(width)]
+                    for i, e in enumerate(exps)]
+            for values in product(*(range(bound) for *_, bound in free)):
                 rows = [row[:] for row in base]
-                for (i, j, _), val in zip(free, values):
-                    rows[i][j] = val
-                yield _trusted_form(
-                    ctx=ctx,
-                    width=width,
-                    rank=rank,
-                    exponents=full,
-                    upper=tuple(tuple(r) for r in rows),
-                    colperm=ident,
-                )
-
-
-def _same(basis: Matrix) -> Matrix:
-    return basis
+                for (i, j, pe, _), val in zip(free, values):
+                    rows[i][j] = pe * val
+                yield tuple(map(tuple, rows))
 
 
 def _follow(table: list[list[int | None]], x: int, word: Sequence[int]) -> int | None:
@@ -164,15 +152,13 @@ def _follow(table: list[list[int | None]], x: int, word: Sequence[int]) -> int |
     return x
 
 
-def _orbit(ctx: ModulusContext, seed: Matrix, swaps: Sequence[int],
-           visited: set[Matrix],
-           key: Callable[[Matrix], Matrix] = _same) -> Iterator[Matrix]:
+def _orbit(ctx: ModulusContext, seed: Matrix, swaps: Sequence[int]) -> Iterator[Matrix]:
     """The orbit of the Howell basis ``seed`` under the adjacent column
     swaps at the columns in ``swaps``, walked lazily.
 
-    Yields ``key`` of the seed, then ``key`` of each new basis breadth
-    first as soon as it is found, and adds every yielded key to
-    ``visited``; ``key`` must be injective on the orbit.
+    Yields the seed, then each new basis breadth first as soon as it is
+    found, each basis once.  The walk knows only its own orbit: skipping
+    seeds whose orbit was walked already is the caller's.
 
     The walk keeps its Schreier graph: ``elems`` lists the bases in the
     order found, ``index`` numbers them, and ``table[x][i]`` is the number
@@ -196,9 +182,7 @@ def _orbit(ctx: ModulusContext, seed: Matrix, swaps: Sequence[int],
          for h in range(len(swaps)) if h != i]
         for i, c in enumerate(swaps)
     ]
-    first = key(seed)
-    visited.add(first)
-    yield first
+    yield seed
     elems = [seed]
     index = {seed: 0}
     table: list[list[int | None]] = [[None] * len(swaps)]
@@ -220,9 +204,7 @@ def _orbit(ctx: ModulusContext, seed: Matrix, swaps: Sequence[int],
                     y = index[moved] = len(elems)
                     elems.append(moved)
                     table.append([None] * len(swaps))
-                    found = key(moved)
-                    visited.add(found)
-                    yield found
+                    yield moved
             row[i] = y
             table[y][i] = x
 
@@ -256,7 +238,7 @@ def enumerate_subgroups(p: int, k: int, b: int,
     """Normal forms of all subgroups of (Z/p^k)^b, one per subgroup.
 
     Spans of trivial-column-permutation forms are closed under adjacent
-    column swaps; deduplication is by reduced basis.  Forms come orbit by
+    column swaps; deduplication is by Howell basis.  Forms come orbit by
     orbit: the span of each trivial-column-permutation form not seen yet,
     then the rest of its orbit under column permutations, breadth first.
     """
@@ -264,10 +246,11 @@ def enumerate_subgroups(p: int, k: int, b: int,
     _check_width(b)
     ctx = ModulusContext(p, k)
     visited: set[Matrix] = set()
-    for seed in map(generating_rows, _identity_forms(ctx, b)):
+    for seed in _identity_bases(ctx, b):
         if seed in visited:
             continue
-        for basis in _orbit(ctx, seed, range(b - 1), visited):
+        for basis in _orbit(ctx, seed, range(b - 1)):
+            visited.add(basis)
             yield canonical_form(_trusted_subgroup(ctx, b, basis))
 
 
@@ -399,11 +382,11 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
     visited: set[Matrix] = set()
     records = []
     dropped = 0
-    for seed in map(generating_rows, _identity_forms(ctx, b, max_rank=b - 1)):
+    for seed in _identity_bases(ctx, b, max_rank=b - 1):
         if seed in visited:
             continue
-        lifted = _lift(ctx, b, seed)
-        orbit = list(_orbit(ctx, lifted, range(b), visited, _unlift))
+        orbit = [*map(_unlift, _orbit(ctx, _lift(ctx, b, seed), range(b)))]
+        visited.update(orbit)
         rep = _trusted_subgroup(ctx, b, min(orbit))
         if strict and any(contains(rep, v) for v in points):
             dropped += 1
@@ -420,12 +403,12 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
                 matched_predictions.add(hits[0])
             else:
                 all_matched = False
-        _, norm_form = omega_normalize(rep)
+        form = canonical_form(rep)
         records.append(
             CoverClass(
                 kernel=rep,
-                form=canonical_form(rep),
-                cover=cover_from_form(norm_form, n),
+                form=form,
+                cover=cover_from_form(_omega_twin(form), n),
                 liftable=verdict.liftable,
                 witness=verdict.witness,
                 size=len(orbit),

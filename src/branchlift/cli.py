@@ -8,7 +8,8 @@ Subcommands:
   audit      structural checks on every fully liftable kernel of a census
 
 Exit codes: 0 success (check: liftable), 1 check: not liftable / verify or
-audit found a problem, 2 invalid input, 3 bound exceeded.
+audit found a problem, 2 invalid input or an atlas directory that cannot
+be written, 3 bound exceeded.
 """
 
 from __future__ import annotations
@@ -430,7 +431,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("audit takes --p, --k and --n together or none of them", 2)
     try:
         return args.func(args)
-    except (ValueError, CoverValidationError) as exc:
+    except (OSError, ValueError, CoverValidationError) as exc:
         return _fail(str(exc), 2)
 
 

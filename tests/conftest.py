@@ -145,6 +145,9 @@ def inv_unitriangular(q: Matrix, ctx: ModulusContext) -> Matrix:
     return reduce_mod(inv_unitriangular_int(q), ctx)
 
 
+#: Ambient groups (p, k, b) small enough to enumerate in full.
+ENUMERATED_GROUPS = [(2, 1, 4), (2, 2, 3), (3, 1, 3), (2, 3, 2), (5, 1, 2)]
+
 #: (p, k, n, expected number of fully liftable classes)
 ACCEPTANCE_GRID = (
     (2, 1, 3, 1),

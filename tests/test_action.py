@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -21,8 +22,9 @@ from branchlift import (
     span,
     swap_with_last,
 )
-from branchlift.census import _identity_forms
+from branchlift.census import _identity_bases
 from conftest import (
+    ENUMERATED_GROUPS,
     all_perms,
     elementary_matrix,
     identity_matrix,
@@ -233,7 +235,8 @@ def test_criterion_agrees_with_matrix_formula(p, k, b, sample):
     perms = all_perms(b + 1)
     if sample is not None:
         perms = random.Random(b).sample(perms, sample)
-    forms = list(_identity_forms(ModulusContext(p, k), b))
+    ctx = ModulusContext(p, k)
+    forms = [canonical_form(span(ctx, b, basis)) for basis in _identity_bases(ctx, b)]
     verdicts = set()
     for form in forms:
         for alpha in perms:
@@ -295,10 +298,19 @@ def test_generator_check_equals_full_sweep(p, k, b):
 
 
 def test_omega_normalize():
-    for f in enumerate_subgroups(2, 2, 2):
-        sub = rebuild(f)
-        moved, form = omega_normalize(sub)
-        assert form.colperm.is_identity
-        assert equal(rebuild(form), moved)
-        # the twin is in the same orbit
-        assert any(equal(act(a, sub), moved) for a in all_perms(3))
+    # omega_normalize reads the twin off the form; acting by the inverse
+    # column permutation and normalizing again is the reference
+    moved = 0
+    for p, k, b in ENUMERATED_GROUPS:
+        for f in enumerate_subgroups(p, k, b):
+            sub = rebuild(f)
+            twin, form = omega_normalize(sub)
+            assert twin.basis == act(f.colperm.inverse().extend(b + 1), sub).basis
+            assert form.colperm.is_identity
+            again = canonical_form(twin)
+            for field in dataclasses.fields(form):
+                assert getattr(again, field.name) == getattr(form, field.name), field.name
+            if f.colperm.is_identity:
+                assert twin is sub
+            moved += twin.basis != sub.basis
+    assert moved

@@ -35,8 +35,8 @@ from branchlift import (
 )
 from branchlift import action, census
 from branchlift.census import atlas_filename
-from branchlift.subgroups import _swap_columns, generating_rows
-from conftest import ACCEPTANCE_GRID, all_perms, subgroup_count
+from branchlift.subgroups import _swap_columns
+from conftest import ACCEPTANCE_GRID, ENUMERATED_GROUPS, all_perms, subgroup_count
 
 
 def test_enumerate_counts():
@@ -50,10 +50,6 @@ def test_subgroup_count_pinned_values():
     assert subgroup_count(2, 2, 5) == 55989
     assert subgroup_count(3, 1, 2) == 6
     assert subgroup_count(2, 0, 3) == 1
-
-
-# Ambient groups (p, k, b) small enough to enumerate in full.
-ENUMERATED_GROUPS = [(2, 1, 4), (2, 2, 3), (3, 1, 3), (2, 3, 2), (5, 1, 2)]
 
 
 @pytest.mark.parametrize("p,k,b", ENUMERATED_GROUPS)
@@ -137,12 +133,12 @@ def test_orbit_walk_swaps_only_undeduced_edges(monkeypatch, walk, p, k, b, swaps
     assert len(walked) - orbits <= len(calls) < fixed + (len(gens) * len(walked) - fixed) // 2
 
 
-def _reference_orbit(ctx, seed, swaps, key):
+def _reference_orbit(ctx, seed, swaps):
     """Breadth-first orbit of ``seed`` that swaps along every edge and
     deduces none, in the order the bases are found."""
     seen = {seed}
     queue = deque([seed])
-    out = [key(seed)]
+    out = [seed]
     while queue:
         cur = queue.popleft()
         for c in swaps:
@@ -150,7 +146,7 @@ def _reference_orbit(ctx, seed, swaps, key):
             if moved not in seen:
                 seen.add(moved)
                 queue.append(moved)
-                out.append(key(moved))
+                out.append(moved)
     return out
 
 
@@ -158,22 +154,18 @@ def _reference_orbit(ctx, seed, swaps, key):
 def test_orbit_walk_matches_reference_on_census_lifts(p, k, n):
     b = n - 1
     ctx = ModulusContext(p, k)
-    for form in census._identity_forms(ctx, b, max_rank=b - 1):
-        lifted = census._lift(ctx, b, generating_rows(form))
-        visited = set()
-        walked = list(census._orbit(ctx, lifted, range(b), visited, census._unlift))
-        assert walked == _reference_orbit(ctx, lifted, range(b), census._unlift)
-        assert visited == set(walked)
+    for seed in census._identity_bases(ctx, b, max_rank=b - 1):
+        lifted = census._lift(ctx, b, seed)
+        walked = list(census._orbit(ctx, lifted, range(b)))
+        assert walked == _reference_orbit(ctx, lifted, range(b))
 
 
 @pytest.mark.parametrize("p,k,b", ENUMERATED_GROUPS)
 def test_orbit_walk_matches_reference_on_subgroups(p, k, b):
     ctx = ModulusContext(p, k)
-    for seed in map(generating_rows, census._identity_forms(ctx, b)):
-        visited = set()
-        walked = list(census._orbit(ctx, seed, range(b - 1), visited))
-        assert walked == _reference_orbit(ctx, seed, range(b - 1), census._same)
-        assert visited == set(walked)
+    for seed in census._identity_bases(ctx, b):
+        walked = list(census._orbit(ctx, seed, range(b - 1)))
+        assert walked == _reference_orbit(ctx, seed, range(b - 1))
 
 
 @pytest.mark.parametrize("p,k,b", [(2, 2, 3), (3, 1, 3)])
@@ -216,8 +208,8 @@ def test_orbit_count_matches_burnside(census_cache, p, k, n):
     ctx = ModulusContext(p, k)
     column_perms = [g for g in all_perms(n) if g(n) == n]
     walked = {
-        act(beta, rebuild(form)).basis
-        for form in census._identity_forms(ctx, b, max_rank=b - 1)
+        act(beta, span(ctx, b, basis)).basis
+        for basis in census._identity_bases(ctx, b, max_rank=b - 1)
         for beta in column_perms
     }
     subs = [span(ctx, b, basis) for basis in walked]

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import branchlift
 from branchlift.cli import main
 
@@ -201,6 +203,29 @@ def test_verify_writes_atlases(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "census_p2_k1_n3.json").exists()
     assert (tmp_path / "census_p2_k1_n4.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["classify", "--p", "3", "--k", "1", "--n", "3"],
+    ["verify", "--grid", "2,1,3"],
+])
+@pytest.mark.parametrize("target", ["file", "below_file"])
+@pytest.mark.parametrize("via", ["option", "env"])
+def test_unusable_atlas_directory_exits_2(tmp_path, capsys, monkeypatch, command, target, via):
+    # an existing file, or a path under one, cannot hold the atlas; exit 1
+    # would read as a mismatch with the closed form
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    out_dir = blocker if target == "file" else blocker / "sub"
+    if via == "env":
+        monkeypatch.setenv("BRANCHLIFT_OUTPUT_DIR", str(out_dir))
+        code, out, err = run_cli(capsys, *command)
+    else:
+        code, out, err = run_cli(capsys, *command, "--output", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert str(out_dir) in json.loads(err)["error"]
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_verify_json(capsys):

@@ -189,12 +189,13 @@ def test_cover_from_form_errors():
 
 @pytest.mark.parametrize("p,k,b", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (2, 2, 3)])
 def test_kernel_round_trip_over_forms(p, k, b):
-    from branchlift.census import _identity_forms
+    from branchlift.census import _identity_bases
 
     ctx = ModulusContext(p, k)
-    for form in _identity_forms(ctx, b, max_rank=b - 1):
-        spec = cover_from_form(form, b + 1)
-        assert equal(kernel(spec, strict=False), rebuild(form))
+    for basis in _identity_bases(ctx, b, max_rank=b - 1):
+        sub = span(ctx, b, basis)
+        spec = cover_from_form(canonical_form(sub), b + 1)
+        assert equal(kernel(spec, strict=False), sub)
 
 
 def test_equivalent_basics():

@@ -18,6 +18,7 @@ from branchlift import (
     enumerate_subgroups,
     equal,
     howell_reduce,
+    omega_normalize,
     order,
     quotient_invariants,
     rebuild,
@@ -26,7 +27,7 @@ from branchlift import (
     subgroup_from_json,
     subgroup_to_json,
 )
-from branchlift.census import _identity_forms
+from branchlift.census import _identity_bases
 from branchlift.subgroups import _swap_columns, generating_rows
 from conftest import brute_all_subgroups, brute_span
 
@@ -215,11 +216,17 @@ def test_enumeration_complete_against_brute_force(ctx, width):
 
 @pytest.mark.parametrize("p,k,width", [(2, 2, 4), (2, 3, 3), (3, 2, 3), (5, 1, 4), (2, 4, 3)])
 def test_identity_form_rows_are_howell_bases(p, k, width):
-    # the orbit walks seed from these rows without reducing them
+    # the orbit walks seed from these rows without reducing them, and each
+    # is the Howell basis of exactly one form with identity colperm
     ctx = ModulusContext(p, k)
-    for form in _identity_forms(ctx, width):
-        rows = generating_rows(form)
-        assert howell_reduce(ctx, width, rows) == rows
+    seen = set()
+    for basis in _identity_bases(ctx, width):
+        assert howell_reduce(ctx, width, basis) == basis
+        form = canonical_form(span(ctx, width, basis))
+        assert form.colperm.is_identity
+        assert generating_rows(form) == basis
+        assert basis not in seen
+        seen.add(basis)
 
 
 @pytest.mark.parametrize("ctx,width", [(Z4, 2), (Z2, 3), (Z3, 2), (ModulusContext(2, 3), 2)],
@@ -290,9 +297,14 @@ def test_rebuild_rejects_bad_forms():
 
 @pytest.mark.parametrize("p,k,b", [(2, 2, 3), (3, 1, 3), (2, 3, 2)])
 def test_trusted_forms_pass_the_checked_constructor(p, k, b):
-    # canonical_form and _identity_forms skip __post_init__; every form
+    # canonical_form and omega_normalize skip __post_init__; every form
     # they build must still satisfy it
-    forms = [*enumerate_subgroups(p, k, b), *_identity_forms(ModulusContext(p, k), b)]
+    ctx = ModulusContext(p, k)
+    forms = [*enumerate_subgroups(p, k, b),
+             *(canonical_form(span(ctx, b, basis)) for basis in _identity_bases(ctx, b))]
+    twins = [omega_normalize(rebuild(form))[1] for form in forms if not form.colperm.is_identity]
+    assert twins
+    forms += twins
     for form in forms:
         fields = {f.name: getattr(form, f.name) for f in dataclasses.fields(form)}
         assert CanonicalForm(**fields) == form
