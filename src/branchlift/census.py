@@ -14,8 +14,20 @@ Enumeration seeds from the Howell bases of the normal forms with trivial
 column permutation, written down from the forms (``_identity_bases``),
 and closes them under column permutations, which reaches every subgroup;
 a class is fully liftable exactly when its orbit is a single subgroup.
-``_orbit`` walks one orbit and yields each of its bases once; the caller
-keeps the bases seen across orbits and skips seeds already reached.
+``_orbit`` walks one orbit and yields each of its bases once.
+
+The seed loop skips the seeds an earlier orbit reached, yet keeps only a
+set ``pending``: the identity-shape members (``_identity_shape``) other
+than the seed of each orbit walked, each removed when its own turn as a
+seed comes and skipped then, so memory follows the largest orbit, not the
+subgroup count.  ``_identity_bases`` emits each identity-form span once,
+and an orbit walked from seed s holds no identity basis t that comes
+before s: by induction on the order, t either walked its own orbit, which
+holds s, or was pending from an earlier orbit, which then is s's orbit;
+either way s was added to ``pending`` and skipped.  So every basis added
+comes after its seed, it is removed when the loop reaches it, and
+``pending`` is empty at the end, which the loop checks.  Orbits are
+disjoint, so the subgroups walked number the sum of the orbit sizes.
 
 Both walks move Howell bases by adjacent column swaps, each one a local
 update (``subgroups._swap_columns``) that re-eliminates only the rows
@@ -68,6 +80,7 @@ from .covers import (
 __all__ = [
     "DEFAULT_BOUND",
     "BoundExceededError",
+    "check_point",
     "enumerate_subgroups",
     "classify",
     "predict_liftable",
@@ -95,6 +108,17 @@ def _check_bound(p: int, k: int, b: int, bound: int) -> None:
         raise BoundExceededError(
             f"ambient group order p^(k*b) = {p}^{k * b} exceeds the bound {bound}"
         )
+
+
+def check_point(p: int, k: int, n: int, bound: int = DEFAULT_BOUND) -> None:
+    """Raise what ``classify(p, k, n, bound=bound)`` would raise on its
+    input, before any work: ValueError for n < 3, a p that is not prime,
+    k < 1 or too many points, BoundExceededError past the bound."""
+    if n < 3:
+        raise ValueError("use classify_two_points for n = 2")
+    _check_bound(p, k, n - 1, bound)
+    _check_width(n - 1)
+    ModulusContext(p, k)
 
 
 def _identity_bases(ctx: ModulusContext, width: int,
@@ -140,6 +164,44 @@ def _identity_bases(ctx: ModulusContext, width: int,
                 for (i, j, pe, _), val in zip(free, values):
                     rows[i][j] = pe * val
                 yield tuple(map(tuple, rows))
+
+
+def _identity_shape(basis: Matrix) -> bool:
+    """Whether the Howell basis ``basis`` is one that ``_identity_bases``
+    emits: row i pivots at column i with entry p^(e_i), e is weakly
+    increasing, and every entry of row i is divisible by p^(e_i).
+
+    Those bases have this shape.  Conversely, read e off the pivots and
+    let U_i be row i divided by p^(e_i), an exact division.  Then U is
+    unit upper-triangular, each e_i < k since the pivot is nonzero mod
+    p^k, and the above-pivot reduction of a Howell basis puts
+    p^(e_i) U[i][j] below the pivot p^(e_j) of column j (below p^k past
+    the rank), which are the cofactor bounds ``_identity_bases`` ranges
+    over.  So (e, U, id) is one of its forms, and the basis emitted for
+    it is the rows p^(e_i) U_i, this basis.
+
+    Pivot columns of a Howell basis strictly increase, so row i pivots at
+    column i or later, and every row i pivots at column i exactly when the
+    last row r - 1 does, that is when its entry at column r - 1 is
+    nonzero: the first test.  Pivot entries are powers of p, so e is
+    weakly increasing when each pivot divides the next.
+    """
+    if basis and not basis[-1][len(basis) - 1]:
+        return False
+    last = 1
+    for i, row in enumerate(basis):
+        pe = row[i]
+        if pe % last or (pe > 1 and any(x % pe for x in row)):
+            return False
+        last = pe
+    return True
+
+
+def _check_drained(pending: set[Matrix]) -> None:
+    if pending:
+        raise AssertionError(
+            f"{len(pending)} identity-form bases reached by orbits were never seeds"
+        )
 
 
 def _follow(table: list[list[int | None]], x: int, word: Sequence[int]) -> int | None:
@@ -238,20 +300,24 @@ def enumerate_subgroups(p: int, k: int, b: int,
     """Normal forms of all subgroups of (Z/p^k)^b, one per subgroup.
 
     Spans of trivial-column-permutation forms are closed under adjacent
-    column swaps; deduplication is by Howell basis.  Forms come orbit by
-    orbit: the span of each trivial-column-permutation form not seen yet,
-    then the rest of its orbit under column permutations, breadth first.
+    column swaps.  Forms come orbit by orbit: the span of each
+    trivial-column-permutation form that no earlier orbit reached (the
+    pending seeds of the module docstring), then the rest of its orbit
+    under column permutations, breadth first.
     """
     _check_bound(p, k, b, bound)
     _check_width(b)
     ctx = ModulusContext(p, k)
-    visited: set[Matrix] = set()
+    pending: set[Matrix] = set()
     for seed in _identity_bases(ctx, b):
-        if seed in visited:
+        if seed in pending:
+            pending.remove(seed)
             continue
-        for basis in _orbit(ctx, seed, range(b - 1)):
-            visited.add(basis)
+        for i, basis in enumerate(_orbit(ctx, seed, range(b - 1))):
+            if i and _identity_shape(basis):
+                pending.add(basis)
             yield canonical_form(_trusted_subgroup(ctx, b, basis))
+    _check_drained(pending)
 
 
 @dataclass(frozen=True)
@@ -366,11 +432,8 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
     """Full census at (p, k, n): every cover class with deck-group exponent
     exactly p^k, its size, lifting verdict, and the comparison against the
     closed-form prediction."""
-    if n < 3:
-        raise ValueError("use classify_two_points for n = 2")
+    check_point(p, k, n, bound)
     b = n - 1
-    _check_bound(p, k, b, bound)
-    _check_width(b)
     ctx = ModulusContext(p, k)
     start = time.perf_counter()
 
@@ -379,15 +442,23 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
     predicted_bases = [kernel(pr.cover).basis for pr in predicted]
     matched_predictions: set[int] = set()
     all_matched = True
-    visited: set[Matrix] = set()
+    pending: set[Matrix] = set()
+    seen = 0
     records = []
     dropped = 0
     for seed in _identity_bases(ctx, b, max_rank=b - 1):
-        if seed in visited:
+        if seed in pending:
+            pending.remove(seed)
             continue
-        orbit = [*map(_unlift, _orbit(ctx, _lift(ctx, b, seed), range(b)))]
-        visited.update(orbit)
-        rep = _trusted_subgroup(ctx, b, min(orbit))
+        orbit = [*_orbit(ctx, _lift(ctx, b, seed), range(b))]
+        seen += len(orbit)
+        # A lifted basis has identity shape exactly when its subgroup's
+        # basis does: its row 0 pivots at column 0 with entry 1.  Point
+        # permutations keep the quotient, so those bases have rank below b
+        # and come as seeds.  Lifted rows after the first are (0 | row),
+        # so ordering by them orders the subgroups' bases.
+        pending.update(_unlift(x) for x in orbit[1:] if _identity_shape(x))
+        rep = _trusted_subgroup(ctx, b, _unlift(min(orbit, key=lambda x: x[1:])))
         if strict and any(contains(rep, v) for v in points):
             dropped += 1
             continue
@@ -416,6 +487,7 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
                 family_param=family_param,
             )
         )
+    _check_drained(pending)
     records.sort(key=lambda r: (order(r.kernel), r.kernel.basis))
     match = all_matched and matched_predictions == set(range(len(predicted)))
 
@@ -429,7 +501,7 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
         classes=tuple(records),
         predicted=tuple(predicted),
         match=match,
-        subgroups_seen=len(visited),
+        subgroups_seen=seen,
         dropped_unbranched=dropped,
         elapsed_ms=elapsed_ms,
     )
@@ -463,7 +535,11 @@ def verify_classification(points: Sequence[tuple[int, int, int]], *,
 
     A missing predicted class names the generator its kernel fails to be
     invariant under, or None when that kernel is invariant after all.
+    Every point is checked before the first census, so a grid with an
+    invalid point runs no census and writes no atlas.
     """
+    for p, k, n in points:
+        check_point(p, k, n, bound)
     entries = []
     for p, k, n in points:
         report = classify(p, k, n, bound=bound, strict=strict)

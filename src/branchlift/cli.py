@@ -44,6 +44,7 @@ from .covers import (
 from .census import (
     BoundExceededError,
     DEFAULT_BOUND,
+    check_point,
     classify,
     classify_two_points,
     report_to_json,
@@ -231,6 +232,15 @@ def _grid_from_args(args) -> list[tuple[int, int, int]]:
     return list(DEFAULT_GRID)
 
 
+def _check_grid(points, bound: int) -> None:
+    """Check every census point before the first census runs, so that a
+    bad point late in a grid prints nothing and writes no atlas."""
+    for p, k, n in points:
+        if n < 3:
+            raise ValueError(f"the census needs n >= 3, got n = {n}; use classify --n 2")
+        check_point(p, k, n, bound)
+
+
 def cmd_classify(args) -> int:
     strict = not args.lax
     if args.n == 2:
@@ -286,6 +296,7 @@ def _print_report_text(report) -> None:
 def cmd_verify(args) -> int:
     points = _grid_from_args(args)
     try:
+        _check_grid(points, args.bound)
         summary = verify_classification(
             points,
             bound=args.bound,
@@ -331,6 +342,7 @@ def cmd_audit(args) -> int:
     points = [(args.p, args.k, args.n)] if args.n else _grid_from_args(args)
     clean = True
     try:
+        _check_grid(points, args.bound)
         for p, k, n in points:
             report = structural_audit(p, k, n, bound=args.bound, strict=not args.lax)
             bad = [e for e in report.entries if e.violations]

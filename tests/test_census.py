@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from collections import deque
 from math import factorial
 from pathlib import Path
@@ -12,6 +13,7 @@ from branchlift import (
     ModulusContext,
     Perm,
     act,
+    canonical_form,
     classify,
     classify_two_points,
     enumerate_subgroups,
@@ -180,6 +182,7 @@ def test_lifted_swaps_act_as_transpositions(p, k, b):
         lifted = census._lift(ctx, b, sub.basis)
         assert howell_reduce(ctx, b + 1, lifted) == lifted
         assert census._unlift(lifted) == sub.basis
+        assert census._identity_shape(lifted) == census._identity_shape(sub.basis)
         for c, tau in enumerate(taus):
             moved = act(tau, sub).basis
             swapped = _swap_columns(ctx, lifted, c)
@@ -240,6 +243,53 @@ def test_enumerate_emits_distinct_subgroups(p, k, b):
         assert sub.basis not in seen
         seen.add(sub.basis)
     assert len(seen) == subgroup_count(p, k, b)
+
+
+@pytest.mark.parametrize("p,k,b", ENUMERATED_GROUPS)
+def test_identity_shape_is_trivial_column_permutation(p, k, b):
+    # Oracles: the normal form's column permutation, and the bases
+    # ``_identity_bases`` writes down.
+    ctx = ModulusContext(p, k)
+    shaped = set()
+    for form in enumerate_subgroups(p, k, b):
+        sub = rebuild(form)
+        is_shaped = census._identity_shape(sub.basis)
+        assert is_shaped == canonical_form(sub).colperm.is_identity
+        if is_shaped:
+            shaped.add(sub.basis)
+    assert shaped == set(census._identity_bases(ctx, b))
+
+
+@pytest.mark.parametrize("walk", ["classify", "enumerate"])
+def test_pending_seeds_left_over_raise(monkeypatch, walk):
+    # Bases flagged as seeds that never come up as seeds stay pending.
+    monkeypatch.setattr(census, "_identity_shape", lambda basis: True)
+    with pytest.raises(AssertionError, match="never seeds"):
+        if walk == "classify":
+            classify(2, 1, 4)
+        else:
+            sum(1 for _ in enumerate_subgroups(2, 1, 3))
+
+
+def test_census_memory_follows_the_largest_orbit():
+    # Keeping every walked subgroup peaked at about 600 KB on Python 3.11;
+    # keeping only the pending seeds peaks at about 170 KB.
+    classify(2, 2, 5)
+    tracemalloc.start()
+    try:
+        classify(2, 2, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 350_000
+
+
+def test_verify_checks_every_point_first(tmp_path):
+    atlas = tmp_path / "atlas"
+    for bad, error in [((2, 1, 2), ValueError), ((2, 2, 30), BoundExceededError)]:
+        with pytest.raises(error):
+            verify_classification([(2, 1, 3), bad], atlas_dir=atlas)
+        assert not atlas.exists()
 
 
 def test_bound_exceeded():

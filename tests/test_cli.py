@@ -228,6 +228,33 @@ def test_unusable_atlas_directory_exits_2(tmp_path, capsys, monkeypatch, command
     assert blocker.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("command", ["verify", "audit"])
+@pytest.mark.parametrize("bad,code,message", [
+    ("2,1,2", 2, "use classify --n 2"),
+    ("4,1,3", 2, "not prime"),
+    ("2,0,3", 2, "k = 0"),
+    ("2,2,30", 3, "exceeds the bound"),
+])
+def test_grid_checked_before_any_census(tmp_path, capsys, command, bad, code, message):
+    # a bad point after a good one must not let the good point's census
+    # print or write its atlas first
+    atlas = tmp_path / "atlas"
+    args = [command, "--grid", f"2,1,3;{bad}"]
+    if command == "verify":
+        args += ["--output", str(atlas)]
+    got, out, err = run_cli(capsys, *args)
+    assert got == code
+    assert out == ""
+    assert message in json.loads(err)["error"]
+    assert not atlas.exists()
+
+
+def test_audit_two_points_points_to_classify(capsys):
+    code, out, err = run_cli(capsys, "audit", "--p", "2", "--k", "1", "--n", "2")
+    assert code == 2 and out == ""
+    assert "use classify --n 2" in json.loads(err)["error"]
+
+
 def test_verify_json(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--grid", "2,1,4", "--format", "json",
