@@ -11,6 +11,14 @@ A cover lifts every homeomorphism preserving the marked points exactly
 when its kernel subgroup is invariant under this whole action; since the
 invariance locus is a subgroup of the permutation group, checking a
 generating set suffices.
+
+Invariance, and equivalence in ``covers``, are decided by membership of
+moved basis rows, without computing an image: alpha carries S into T
+exactly when every moved basis row of S lies in T, which one pass
+against the pivots of T's Howell basis decides.  The action is
+injective and the groups are finite, so when S and T have equal order,
+alpha carrying S into T carries it onto T.  ``act`` computes the image
+itself and serves as the reference.
 """
 
 from __future__ import annotations
@@ -21,8 +29,8 @@ from operator import mul
 from typing import Sequence
 
 from .modular import Matrix, Perm
-from .subgroups import (CanonicalForm, Subgroup, _trusted_form, _trusted_subgroup,
-                        canonical_form, equal, generating_rows, span)
+from .subgroups import (CanonicalForm, Subgroup, _member, _pivots, _trusted_form,
+                        _trusted_subgroup, canonical_form, generating_rows, span)
 
 __all__ = [
     "OmegaNotIdentityError",
@@ -49,12 +57,31 @@ def swap_with_last(i: int, b: int) -> Perm:
     return Perm.transposition(b + 1, i, b + 1)
 
 
-def _moved_row(alpha: Perm, row: Sequence[int]) -> list[int]:
-    """Image of a row vector under alpha, not reduced: each caller reduces
-    it once, mod the modulus or mod its factor orders."""
+def _moved_row(images: Sequence[int], row: Sequence[int]) -> list[int]:
+    """Image of a row vector under the permutation with point images
+    ``images``, not reduced: each caller reduces it once, mod the modulus
+    or mod its factor orders."""
     ext = (*row, 0)
-    last = ext[alpha.images[-1] - 1]
-    return [ext[a - 1] - last for a in alpha.images[:-1]]
+    last = ext[images[-1] - 1]
+    return [ext[a - 1] - last for a in images[:-1]]
+
+
+def _carries_into(images: Sequence[int], rows: Sequence[Sequence[int]],
+                  target: Subgroup) -> bool:
+    """Whether the permutation with point images ``images`` moves every
+    row of ``rows`` into ``target``; stops at the first row that leaves.
+
+    Each moved row is reduced mod p^k and then against the pivots of the
+    target's Howell basis, which leaves zero exactly for a member
+    (``subgroups._reduce_above``).  The action is linear, so the rows land
+    in the target exactly when their whole span does.
+    """
+    n = target.ctx.modulus
+    pivots = _pivots(target.basis)
+    for row in rows:
+        if not _member([x % n for x in _moved_row(images, row)], pivots, n):
+            return False
+    return True
 
 
 @lru_cache(maxsize=65536)
@@ -87,18 +114,31 @@ def generators(b: int) -> list[Perm]:
     return gens
 
 
-def act(alpha: Perm, sub: Subgroup) -> Subgroup:
-    """Image of a subgroup under the action of alpha."""
+def _check_size(alpha: Perm, sub: Subgroup) -> None:
     if alpha.size != sub.width + 1:
         raise ValueError(
             f"permutation of {alpha.size} points cannot act on rank {sub.width}"
         )
-    return span(sub.ctx, sub.width, [_moved_row(alpha, row) for row in sub.basis])
+
+
+def act(alpha: Perm, sub: Subgroup) -> Subgroup:
+    """Image of a subgroup under the action of alpha."""
+    _check_size(alpha, sub)
+    return span(sub.ctx, sub.width, [_moved_row(alpha.images, row) for row in sub.basis])
 
 
 def invariant_under(sub: Subgroup, alpha: Perm) -> bool:
-    """Direct check that alpha carries the subgroup onto itself."""
-    return equal(act(alpha, sub), sub)
+    """Whether alpha carries the subgroup onto itself, decided by
+    membership of its moved basis rows.
+
+    Proof.  The basis rows span the subgroup S, so alpha(S) is the span of
+    the moved rows, and it lies in S exactly when every moved row does.
+    The action is injective, so alpha(S) has as many elements as S; a
+    subset of the finite set S of the same size is S itself.  Nothing
+    computes the image alpha(S) (``act`` does, for comparison).
+    """
+    _check_size(alpha, sub)
+    return _carries_into(alpha.images, sub.basis, sub)
 
 
 def divisibility_criterion(form: CanonicalForm, alpha: Perm) -> bool:
@@ -121,7 +161,7 @@ def divisibility_criterion(form: CanonicalForm, alpha: Perm) -> bool:
     so carrying every generator row into the subgroup carries the subgroup
     onto itself.
 
-    U_i T is ``_moved_row(alpha, U_i)``, and U needs no inverse: forward
+    U_i T is ``_moved_row(alpha.images, U_i)``, and U needs no inverse: forward
     substitution over the integers gives w_j = v_j - sum_{t<j} w_t U[t][j]
     for the moved row v, and the first failing entry ends the test.
     """
@@ -135,7 +175,7 @@ def divisibility_criterion(form: CanonicalForm, alpha: Perm) -> bool:
     cols = tuple(zip(*upper))
     for i in range(form.rank):
         w: list[int] = []
-        for j, vj in enumerate(_moved_row(alpha, upper[i])):
+        for j, vj in enumerate(_moved_row(alpha.images, upper[i])):
             # map stops with w, so this sums over t < j
             wj = vj - sum(map(mul, w, cols[j]))
             if exps[j] > exps[i] and wj % p ** (exps[j] - exps[i]):

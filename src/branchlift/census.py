@@ -58,12 +58,12 @@ from .subgroups import (
     CanonicalForm,
     Subgroup,
     _check_width,
+    _member,
     _pivots,
     _reduce_above,
     _swap_columns,
     _trusted_subgroup,
     canonical_form,
-    contains,
     order,
     span,
     subgroup_to_json,
@@ -114,8 +114,10 @@ def check_point(p: int, k: int, n: int, bound: int = DEFAULT_BOUND) -> None:
     """Raise what ``classify(p, k, n, bound=bound)`` would raise on its
     input, before any work: ValueError for n < 3, a p that is not prime,
     k < 1 or too many points, BoundExceededError past the bound."""
-    if n < 3:
-        raise ValueError("use classify_two_points for n = 2")
+    if n < 2:
+        raise ValueError(f"a cover needs at least 2 marked points, got n = {n}")
+    if n == 2:
+        raise ValueError("the census needs n >= 3; use classify_two_points for n = 2")
     _check_bound(p, k, n - 1, bound)
     _check_width(n - 1)
     ModulusContext(p, k)
@@ -459,7 +461,8 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
         # so ordering by them orders the subgroups' bases.
         pending.update(_unlift(x) for x in orbit[1:] if _identity_shape(x))
         rep = _trusted_subgroup(ctx, b, _unlift(min(orbit, key=lambda x: x[1:])))
-        if strict and any(contains(rep, v) for v in points):
+        pivots = _pivots(rep.basis)
+        if strict and any(_member(v, pivots, ctx.modulus) for v in points):
             dropped += 1
             continue
         verdict = fully_liftable(rep)

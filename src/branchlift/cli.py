@@ -226,7 +226,12 @@ def _grid_from_args(args) -> list[tuple[int, int, int]]:
         for chunk in args.grid.split(";"):
             chunk = chunk.strip()
             if chunk:
-                p, k, n = (int(x) for x in chunk.replace(",", " ").split())
+                try:
+                    p, k, n = (int(x) for x in chunk.replace(",", " ").split())
+                except ValueError:
+                    raise ValueError(
+                        f"bad --grid point {chunk!r}: a point is p,k,n, three integers"
+                    ) from None
                 points.append((p, k, n))
         return points
     return list(DEFAULT_GRID)
@@ -236,8 +241,8 @@ def _check_grid(points, bound: int) -> None:
     """Check every census point before the first census runs, so that a
     bad point late in a grid prints nothing and writes no atlas."""
     for p, k, n in points:
-        if n < 3:
-            raise ValueError(f"the census needs n >= 3, got n = {n}; use classify --n 2")
+        if n == 2:
+            raise ValueError("the census needs n >= 3, got n = 2; use classify --n 2")
         check_point(p, k, n, bound)
 
 
@@ -434,9 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for name in ("p", "k", "n"):
+    for name in ("p", "k"):
         if getattr(args, name, None) is not None and getattr(args, name) <= 0:
             return _fail(f"--{name} must be positive", 2)
+    if getattr(args, "n", None) is not None and args.n < 2:
+        return _fail(f"a cover needs at least 2 marked points, got --n {args.n}", 2)
     if args.command in ("classify",) and (args.p is None or args.k is None or args.n is None):
         return _fail("classify needs --p --k --n", 2)
     if args.command == "audit" and len({args.p is None, args.k is None, args.n is None}) > 1:

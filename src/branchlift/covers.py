@@ -6,7 +6,8 @@ with the image in A of each loop class; the images must sum to zero and
 generate A.  The kernel of the induced map on mod-p^k homology is the
 subgroup that controls both lifting and equivalence, so this module
 converts between cover descriptions, kernels, and normal forms, decides
-equivalence by brute force over point permutations, computes the deck
+equivalence by a search over point permutations that tests each by
+membership of moved kernel basis rows, computes the deck
 automorphism induced by a liftable permutation, and splits a general
 finite abelian cover into its prime-power parts.
 """
@@ -22,12 +23,11 @@ from .subgroups import (
     Subgroup,
     _pivots,
     _reduce_above,
-    equal,
     howell_reduce,
     order,
     span,
 )
-from .action import _moved_row, act
+from .action import _carries_into, _moved_row, invariant_under
 
 __all__ = [
     "CoverValidationError",
@@ -255,18 +255,24 @@ def cover_from_form(form: CanonicalForm, n: int) -> CoverSpec:
 
 def equivalent(s1: CoverSpec, s2: CoverSpec, strict: bool = True) -> Perm | None:
     """First point permutation carrying the second kernel onto the first,
-    in lexicographic order; None when the covers are inequivalent."""
+    in lexicographic order; None when the covers are inequivalent.
+
+    A candidate beta is tested by membership: it carries K2 onto K1
+    exactly when every moved basis row of K2 lies in K1.  The moved rows
+    span beta(K2), which then lies in K1; beta acts injectively, so
+    beta(K2) has the order of K2, and the order check below makes that
+    the order of K1, so the subset is all of K1.  Without the check a
+    smaller K2 would be carried into K1 and wrongly matched.
+    """
     if (s1.p, s1.k, s1.n) != (s2.p, s2.k, s2.n):
         raise ValueError("covers have different (p, k, n) parameters")
     k1 = kernel(s1, strict)
     k2 = kernel(s2, strict)
     if order(k1) != order(k2):
         return None
-    b = s1.n - 1
-    for images in permutations(range(1, b + 2)):
-        beta = Perm(images)
-        if equal(act(beta, k2), k1):
-            return beta
+    for images in permutations(range(1, s1.n + 1)):
+        if _carries_into(images, k2.basis, k1):
+            return Perm(images)
     return None
 
 
@@ -279,6 +285,9 @@ def induced_deck_automorphism(spec: CoverSpec, alpha: Perm,
     row per standard generator of the deck group.  Otherwise None.  The
     kernel and the preimages are both read off one graph basis.
 
+    Whether alpha preserves the kernel is ``invariant_under``: membership
+    of the moved kernel basis rows, with no image computed.
+
     A pivot past the deck columns belongs to a row (0 | y) with y in the
     kernel, so reducing past one that does not divide changes a preimage
     only by kernel elements, which alpha preserves and the cover map kills.
@@ -286,7 +295,7 @@ def induced_deck_automorphism(spec: CoverSpec, alpha: Perm,
     require_valid(spec, strict)
     graph = _graph_basis(spec)
     ker = _graph_kernel(spec, graph)
-    if not equal(act(alpha, ker), ker):
+    if not invariant_under(ker, alpha):
         return None
     n = spec.ctx.modulus
     b = spec.n - 1
@@ -301,7 +310,7 @@ def induced_deck_automorphism(spec: CoverSpec, alpha: Perm,
         if any(left[:t]):
             raise CoverValidationError([NOT_SURJECTIVE], "generator has no preimage")
         sol = [-x for x in left[t:]]
-        rows.append(apply_cover_map(spec, tuple(_moved_row(alpha, sol))))
+        rows.append(apply_cover_map(spec, tuple(_moved_row(alpha.images, sol))))
     return tuple(rows)
 
 

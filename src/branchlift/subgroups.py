@@ -152,6 +152,14 @@ def _reduce_above(row: Sequence[int], pivots: Iterable[tuple[int, int, Sequence[
     return row
 
 
+def _member(vec: Sequence[int], pivots: Iterable[tuple[int, int, Sequence[int]]],
+            n: int) -> bool:
+    """Whether ``vec``, with entries in [0, n), lies in the span of the
+    Howell basis whose ``_pivots`` are ``pivots``.  A caller testing many
+    vectors against one basis computes ``pivots`` once."""
+    return not any(_reduce_above(vec, pivots, n))
+
+
 def _swap_columns(ctx: ModulusContext, basis: Matrix, c: int) -> Matrix:
     """The Howell basis of the span of ``basis`` with columns c and c+1
     swapped, for a Howell basis ``basis``; columns count from 0.
@@ -281,8 +289,7 @@ def contains(sub: Subgroup, vec: Sequence[int]) -> bool:
     if len(vec) != sub.width:
         raise ValueError(f"vector width {len(vec)} differs from {sub.width}")
     n = sub.ctx.modulus
-    v = [x % n for x in vec]
-    return not any(_reduce_above(v, _pivots(sub.basis), n))
+    return _member([x % n for x in vec], _pivots(sub.basis), n)
 
 
 def equal(a: Subgroup, b: Subgroup) -> bool:

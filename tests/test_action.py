@@ -278,6 +278,23 @@ def test_divisibility_condition_closed_under_differences(p, k, b):
                         assert _divisibility_holds(form, diff)
 
 
+def test_invariant_under_against_act():
+    # membership of the moved basis rows against the computed image
+    verdicts = set()
+    for p, k, b in ENUMERATED_GROUPS:
+        perms = all_perms(b + 1)
+        for f in enumerate_subgroups(p, k, b):
+            sub = rebuild(f)
+            for alpha in perms:
+                verdict = invariant_under(sub, alpha)
+                assert verdict == equal(act(alpha, sub), sub), (sub.basis, alpha)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+    for alpha in (Perm.identity(2), Perm.identity(4)):
+        with pytest.raises(ValueError):
+            invariant_under(span(Z2, 2, [(1, 1)]), alpha)
+
+
 def test_fully_liftable_examples():
     assert fully_liftable(span(Z2, 2, [])).liftable
     assert fully_liftable(span(Z3, 2, [(1, 2)])).liftable

@@ -249,6 +249,24 @@ def test_grid_checked_before_any_census(tmp_path, capsys, command, bad, code, me
     assert not atlas.exists()
 
 
+@pytest.mark.parametrize("n", [1, 0, -1])
+def test_classify_too_few_points(capsys, n):
+    code, out, err = run_cli(capsys, "classify", "--p", "2", "--k", "1", "--n", str(n))
+    assert code == 2 and out == ""
+    message = json.loads(err)["error"]
+    assert "at least 2 marked points" in message and f"--n {n}" in message
+    assert "classify_two_points" not in message
+
+
+@pytest.mark.parametrize("command", ["verify", "audit"])
+@pytest.mark.parametrize("bad", ["2,1", "2,1,5,7", "2,x,5"])
+def test_malformed_grid_chunk_exits_2(capsys, command, bad):
+    code, out, err = run_cli(capsys, command, "--grid", f"2,1,3;{bad}")
+    assert code == 2 and out == ""
+    message = json.loads(err)["error"]
+    assert repr(bad) in message and "p,k,n" in message
+
+
 def test_audit_two_points_points_to_classify(capsys):
     code, out, err = run_cli(capsys, "audit", "--p", "2", "--k", "1", "--n", "2")
     assert code == 2 and out == ""

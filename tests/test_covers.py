@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -9,6 +10,7 @@ from branchlift import (
     GeneralCoverSpec,
     ModulusContext,
     Perm,
+    act,
     apply_cover_map,
     canonical_form,
     cover_from_form,
@@ -202,6 +204,9 @@ def test_equivalent_basics():
     assert equivalent(ALL_ONES_3, ALL_ONES_3) == Perm.identity(3)
     case3 = CoverSpec(3, 1, 3, (3,), ((1,), (1,), (1,)))
     assert equivalent(case1_spec(3, 1, 3), case3) is None  # kernel orders differ
+    # the trivial kernel is carried into the larger one by every
+    # permutation; only the order check rejects it
+    assert equivalent(case3, case1_spec(3, 1, 3)) is None
     with pytest.raises(ValueError):
         equivalent(case1_spec(2, 1, 3), case1_spec(2, 1, 4))
 
@@ -258,6 +263,70 @@ def test_liftability_is_equivalence_invariant():
             if validate(relabeled) == []:
                 assert equivalent(spec, relabeled) is not None
                 assert fully_liftable(kernel(relabeled)).liftable == verdict
+
+
+def _random_cover(rng, shape=None):
+    """A valid cover with random loop images, of the given shape
+    (p, k, n, factors) or of a random one with n <= 5.  Some shapes have
+    no valid cover (Z/2 with an odd number of nonzero images), so a random
+    shape is redrawn after 20 failed draws of images."""
+    while True:
+        if shape is None:
+            p, k, n = rng.choice((2, 3, 5)), rng.randint(1, 2), rng.randint(3, 5)
+            exps = sorted(rng.randint(1, k) for _ in range(rng.randint(0, 2))) + [k]
+            factors = tuple(p**e for e in exps)
+        else:
+            p, k, n, factors = shape
+        for _ in range(20):
+            rows = [tuple(rng.randrange(q) for q in factors) for _ in range(n - 1)]
+            rows.append(tuple(-sum(r[j] for r in rows) % q for j, q in enumerate(factors)))
+            spec = CoverSpec(p, k, n, factors, tuple(rows))
+            if not validate(spec):
+                return spec
+
+
+def _equivalent_by_act(s1, s2):
+    """Reference search: the first permutation in lexicographic order whose
+    computed image of the second kernel equals the first kernel."""
+    k1, k2 = kernel(s1), kernel(s2)
+    for beta in all_perms(s1.n):
+        if equal(act(beta, k2), k1):
+            return beta
+    return None
+
+
+def test_equivalent_against_act_search():
+    # relabelled copies, and independent covers with the same deck group,
+    # hence kernels of equal order, which are mostly inequivalent
+    rng = random.Random(13)
+    found = missed = 0
+    for _ in range(40):
+        spec = _random_cover(rng)
+        shape = (spec.p, spec.k, spec.n, spec.factor_orders)
+        points = list(range(spec.n))
+        rng.shuffle(points)
+        relabelled = CoverSpec(*shape, tuple(spec.images[i] for i in points))
+        other = _random_cover(rng, shape)
+        for s1, s2 in ((spec, relabelled), (relabelled, spec), (spec, other)):
+            beta = equivalent(s1, s2)
+            assert beta == _equivalent_by_act(s1, s2), (s1, s2)
+            found += beta is not None
+            missed += beta is None
+    assert found and missed
+
+
+def test_induced_automorphism_against_act():
+    rng = random.Random(29)
+    verdicts = set()
+    for _ in range(25):
+        spec = _random_cover(rng)
+        ker = kernel(spec)
+        for alpha in all_perms(spec.n):
+            psi = induced_deck_automorphism(spec, alpha)
+            invariant = equal(act(alpha, ker), ker)
+            assert (psi is not None) == invariant, (spec, alpha)
+            verdicts.add(invariant)
+    assert verdicts == {True, False}
 
 
 def test_induced_automorphism_identity_cases():
