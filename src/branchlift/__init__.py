@@ -11,10 +11,8 @@ from .modular import (
     MAX_RANK,
     Matrix,
     ModulusContext,
-    NotUnitriangularError,
     Perm,
     Vector,
-    inv_unitriangular_int,
     matmul,
 )
 from .subgroups import (

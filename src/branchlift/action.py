@@ -67,17 +67,18 @@ def _moved_row(images: Sequence[int], row: Sequence[int]) -> list[int]:
 
 
 def _carries_into(images: Sequence[int], rows: Sequence[Sequence[int]],
-                  target: Subgroup) -> bool:
+                  pivots: Sequence[tuple[int, int, Sequence[int]]], n: int) -> bool:
     """Whether the permutation with point images ``images`` moves every
-    row of ``rows`` into ``target``; stops at the first row that leaves.
+    row of ``rows`` into the target subgroup whose Howell basis has the
+    ``_pivots`` ``pivots``, modulo n = p^k; stops at the first row that
+    leaves.  A caller testing many permutations against one target
+    computes ``pivots`` once.
 
-    Each moved row is reduced mod p^k and then against the pivots of the
-    target's Howell basis, which leaves zero exactly for a member
+    Each moved row is reduced mod p^k and then against the target's
+    pivots, which leaves zero exactly for a member
     (``subgroups._reduce_above``).  The action is linear, so the rows land
     in the target exactly when their whole span does.
     """
-    n = target.ctx.modulus
-    pivots = _pivots(target.basis)
     for row in rows:
         if not _member([x % n for x in _moved_row(images, row)], pivots, n):
             return False
@@ -138,7 +139,7 @@ def invariant_under(sub: Subgroup, alpha: Perm) -> bool:
     computes the image alpha(S) (``act`` does, for comparison).
     """
     _check_size(alpha, sub)
-    return _carries_into(alpha.images, sub.basis, sub)
+    return _carries_into(alpha.images, sub.basis, _pivots(sub.basis), sub.ctx.modulus)
 
 
 def divisibility_criterion(form: CanonicalForm, alpha: Perm) -> bool:
@@ -200,11 +201,13 @@ class LiftVerdict:
 
 def fully_liftable(sub: Subgroup) -> LiftVerdict:
     """Whether the subgroup is invariant under the whole point-permutation
-    group, checked on generators only."""
+    group, checked on generators only, each as in ``invariant_under``
+    against one pivot list of the subgroup."""
     if sub.width < 1:
         raise ValueError("need ambient rank at least 1")
+    pivots = _pivots(sub.basis)
     for g in generators(sub.width):
-        if not invariant_under(sub, g):
+        if not _carries_into(g.images, sub.basis, pivots, sub.ctx.modulus):
             return LiftVerdict(False, g)
     return LiftVerdict(True, None)
 

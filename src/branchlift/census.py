@@ -104,7 +104,10 @@ class BoundExceededError(RuntimeError):
 
 
 def _check_bound(p: int, k: int, b: int, bound: int) -> None:
-    if p ** (k * b) > bound:
+    """Refuse p^(k*b) > bound.  For p >= 2 and k*b >= bound.bit_length(),
+    p^(k*b) >= 2^(k*b) > bound, so a huge k*b is refused without
+    computing the power."""
+    if (p >= 2 and k * b >= bound.bit_length()) or p ** (k * b) > bound:
         raise BoundExceededError(
             f"ambient group order p^(k*b) = {p}^{k * b} exceeds the bound {bound}"
         )

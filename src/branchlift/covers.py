@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations
+from operator import mul
 
-from .modular import Matrix, ModulusContext, Perm, Vector, inv_unitriangular_int, json_int
+from .modular import Matrix, ModulusContext, Perm, Vector, json_int
 from .subgroups import (
     CanonicalForm,
     Subgroup,
@@ -221,6 +222,11 @@ def cover_from_form(form: CanonicalForm, n: int) -> CoverSpec:
     exactly p^k (largest exponent entry equal to k); the loop images are
     the trailing columns of the inverse cofactor, one column per
     nontrivial cyclic factor.
+
+    U is unit upper-triangular, so row i of U^-1 is the unique w with
+    w U = e_i, and forward substitution over the integers gives it
+    without the inverse: w_j = [i = j] - sum_{t<j} w_t U[t][j], as in
+    ``action.divisibility_criterion``.
     """
     if not form.colperm.is_identity:
         raise CoverValidationError(
@@ -241,11 +247,14 @@ def cover_from_form(form: CanonicalForm, n: int) -> CoverSpec:
         )
     start = next(i for i, e in enumerate(exps) if e > 0)
     factors = tuple(p ** e for e in exps[start:])
-    u_inv = inv_unitriangular_int(form.upper)
-    images = [
-        tuple(u_inv[i][j] % factors[j - start] for j in range(start, b))
-        for i in range(b)
-    ]
+    cols = tuple(zip(*form.upper))
+    images = []
+    for i in range(b):
+        w: list[int] = []
+        for j in range(b):
+            # map stops with w, so this sums over t < j
+            w.append((i == j) - sum(map(mul, w, cols[j])))
+        images.append(tuple(x % q for x, q in zip(w[start:], factors)))
     last = tuple(
         (-sum(row[j] for row in images)) % q for j, q in enumerate(factors)
     )
@@ -270,8 +279,9 @@ def equivalent(s1: CoverSpec, s2: CoverSpec, strict: bool = True) -> Perm | None
     k2 = kernel(s2, strict)
     if order(k1) != order(k2):
         return None
+    pivots = _pivots(k1.basis)
     for images in permutations(range(1, s1.n + 1)):
-        if _carries_into(images, k2.basis, k1):
+        if _carries_into(images, k2.basis, pivots, s1.ctx.modulus):
             return Perm(images)
     return None
 

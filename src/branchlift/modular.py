@@ -1,9 +1,12 @@
-"""Exact arithmetic in Z/p^k and small dense matrices over it.
+"""Exact arithmetic in Z/p^k: the coefficient ring with its size guards,
+valuations, permutations and the integer matrix product.
 
 Everything in this module is a plain immutable value: matrices are tuples
 of tuples of Python ints, vectors are tuples of ints, and permutations are
 thin wrappers around a tuple of images.  Residues are always kept canonical
-in [0, p^k), so equality of values is equality of meaning.
+in [0, p^k), so equality of values is equality of meaning.  No matrix is
+inverted: the unit upper-triangular systems w U = v are solved by forward
+substitution where they arise.
 """
 
 from __future__ import annotations
@@ -18,10 +21,6 @@ Matrix = tuple[Vector, ...]
 # intermediate quantity comfortably small.
 MAX_MODULUS = 1 << 16
 MAX_RANK = 16
-
-
-class NotUnitriangularError(ValueError):
-    """A matrix expected to be unit upper-triangular is not."""
 
 
 def _is_prime(n: int) -> bool:
@@ -46,13 +45,18 @@ class ModulusContext:
     modulus: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not _is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.k < 1:
-            raise ValueError(f"k = {self.k} must be at least 1")
-        modulus = self.p ** self.k
+        # The size check comes before the trial division in _is_prime, and
+        # p^k >= 2^k > MAX_MODULUS needs no power once k reaches its bits.
+        p, k = self.p, self.k
+        if k < 1:
+            raise ValueError(f"k = {k} must be at least 1")
+        if p >= 2 and k >= MAX_MODULUS.bit_length():
+            raise ValueError(f"modulus p^k = {p}^{k} exceeds {MAX_MODULUS}")
+        modulus = p ** k
         if modulus > MAX_MODULUS:
             raise ValueError(f"modulus p^k = {modulus} exceeds {MAX_MODULUS}")
+        if not _is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         object.__setattr__(self, "modulus", modulus)
 
     def __str__(self) -> str:
@@ -176,26 +180,3 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
     )
-
-
-def _require_unitriangular(q: Matrix) -> int:
-    n = len(q)
-    if any(len(row) != n for row in q):
-        raise NotUnitriangularError("matrix is not square")
-    for i in range(n):
-        if q[i][i] != 1:
-            raise NotUnitriangularError(f"diagonal entry ({i+1},{i+1}) is not 1")
-        for j in range(i):
-            if q[i][j] != 0:
-                raise NotUnitriangularError(f"entry ({i+1},{j+1}) below diagonal is nonzero")
-    return n
-
-
-def inv_unitriangular_int(q: Matrix) -> Matrix:
-    """Exact integer inverse of a unit upper-triangular matrix."""
-    n = _require_unitriangular(q)
-    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n - 2, -1, -1):
-        for j in range(i + 1, n):
-            inv[i][j] = -sum(q[i][t] * inv[t][j] for t in range(i + 1, j + 1))
-    return tuple(tuple(row) for row in inv)

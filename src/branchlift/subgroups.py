@@ -59,25 +59,60 @@ def _pivots(basis: Sequence[Sequence[int]]) -> list[tuple[int, int, Sequence[int
     return out
 
 
+def _pivot_step(pool: list[list[int]], placed: list[list[int]], idx: int, col: int,
+                v: int, p: int, k: int, n: int) -> list[list[int]]:
+    """Place ``pool[idx]`` as the pivot row of column ``col``, where its
+    entry has valuation ``v``, the least in that column over the pool;
+    appends it to ``placed`` and returns the rest of the pool.
+
+    The row is scaled so that its pivot is exactly p^v, so every other
+    entry in the column is an exact multiple of it and the column is
+    cleared from the pool without gcd steps; zero rows are dropped.  A
+    nonzero annihilator multiple p^(k-v) * row joins the pool: it vanishes
+    on this column and every column the pool vanished on, so later pivots
+    absorb it and the span stays closed.  Last, the entry in ``col`` of
+    each row in ``placed`` is reduced below p^v.
+    """
+    piv = pool.pop(idx)
+    pe = p ** v
+    unit = piv[col] // pe
+    if unit != 1:
+        inv = pow(unit, -1, n)
+        piv = [(x * inv) % n for x in piv]
+    rest = []
+    for r in pool:
+        a = r[col]
+        if a:
+            c = a // pe
+            r = [(x - c * y) % n for x, y in zip(r, piv)]
+        if any(r):
+            rest.append(r)
+    if v:
+        ann = p ** (k - v)
+        shadow = [(x * ann) % n for x in piv]
+        if any(shadow):
+            rest.append(shadow)
+    for u, r in enumerate(placed):
+        c = r[col] // pe
+        if c:
+            placed[u] = [(x - c * y) % n for x, y in zip(r, piv)]
+    placed.append(piv)
+    return rest
+
+
 def _howell_columns(pool: list[list[int]], cols: Iterable[int], p: int, k: int,
                     n: int) -> list[list[int]]:
     """Howell elimination of the rows in ``pool`` over the columns ``cols``,
     in order; returns the pivot rows, one per column that has one, and
     consumes ``pool``.
 
-    Pivoting always picks a minimal-valuation entry in the current column,
-    so every other entry in that column is an exact integer multiple of
-    the pivot and elimination needs no gcd steps.  A pivot p^e with e > 0
-    also leaves its annihilator multiple p^(k-e) * row in the pool; that
-    shadow vanishes on this column and every earlier one, so later
-    columns absorb it and the span stays closed.  The rows left in the
-    pool after the last column vanish on every column in ``cols``.
-
-    When a pivot row is placed it reduces the entry in its column of every
-    row placed before it below its power of p.  Those rows are never
-    touched again except by later pivot rows, which vanish on every earlier
-    pivot column, so each reduced entry stays reduced and the result is
-    the one a separate above-pivot pass after the elimination would give.
+    Each column places the first pool entry of minimal valuation in it
+    with ``_pivot_step``.  Its shadow vanishes on this column and every
+    earlier one, so the rows left after the last column vanish on all of
+    ``cols``.  A placed row changes afterwards only by later pivot rows,
+    which vanish on every earlier pivot column, so each entry reduced
+    above a pivot stays reduced: the result is the one a separate
+    above-pivot pass after the elimination would give.
     """
     basis: list[list[int]] = []
     for col in cols:
@@ -91,33 +126,8 @@ def _howell_columns(pool: list[list[int]], cols: Iterable[int], p: int, k: int,
                     best, best_v = idx, v
                     if v == 0:
                         break
-        if best < 0:
-            continue
-        piv = pool.pop(best)
-        pe = p ** best_v
-        unit = piv[col] // pe
-        if unit != 1:
-            inv = pow(unit, -1, n)
-            piv = [(x * inv) % n for x in piv]
-        nxt = []
-        for r in pool:
-            a = r[col]
-            if a:
-                c = a // pe
-                r = [(x - c * y) % n for x, y in zip(r, piv)]
-            if any(r):
-                nxt.append(r)
-        if best_v:
-            ann = p ** (k - best_v)
-            shadow = [(x * ann) % n for x in piv]
-            if any(shadow):
-                nxt.append(shadow)
-        pool = nxt
-        for u, r in enumerate(basis):
-            c = r[col] // pe
-            if c:
-                basis[u] = [(x - c * y) % n for x, y in zip(r, piv)]
-        basis.append(piv)
+        if best >= 0:
+            pool = _pivot_step(pool, basis, best, col, best_v, p, k, n)
     return basis
 
 
@@ -387,84 +397,60 @@ def _trusted_form(ctx: ModulusContext, width: int, rank: int,
 def canonical_form(sub: Subgroup) -> CanonicalForm:
     """Compute the normal form of a subgroup from its reduced basis.
 
-    Elimination by globally minimal p-valuation: each step picks the entry
-    of least valuation among the remaining rows and columns (ties broken by
-    smallest column, then topmost row), scales its row so the pivot is
-    exactly p^e, and clears that column from the other remaining rows.
-    The pivot is minimal over everything left, so every entry of the pivot
-    row in a remaining column is a multiple of p^e and each elimination is
-    an exact division.  Each pivot column is moved to the next position,
-    and finally the cofactor entries are reduced into their bounds by row
-    operations.
+    Elimination by globally minimal p-valuation: each step takes the entry
+    of least valuation over the remaining rows and the columns not yet
+    pivoted, ties broken by smallest column, then topmost row, and places
+    its row with ``_pivot_step``, the step of ``_howell_columns``.  The
+    pivot columns in placing order, then the rest, give the column
+    permutation; row i of U is placed row i read in that order over
+    p^(e_i).
+
+    Proof.  The remaining rows vanish on the pivoted columns, and p^e is
+    minimal over their other entries, so it divides its whole row: each
+    division is exact and the shadow p^(k-e) * row is zero, which makes
+    the step a plain elimination.  A placed row vanishes left of its
+    pivot in the column order and later changes only by rows placed after
+    it, so U is unit upper-triangular.  The row placed at pivot column j
+    reduces each earlier row there into [0, p^(e_j)), and later rows
+    vanish on j, so U[i][j] ends in [0, p^(e_j - e_i)); past the rank any
+    residue is in bound.  That reduction is unique: two reduced rows that
+    differ by a combination of later rows differ, at the pivot of the
+    first row j with a nonzero multiple c * row, by c * p^(e_j) mod p^k,
+    nonzero since p^(e_j) divides the row and inside (-p^(e_j), p^(e_j)),
+    which no nonzero multiple of p^(e_j) mod p^k is.  So U is what
+    reducing the cofactor into its bounds after the elimination gives.
     """
     ctx, m = sub.ctx, sub.width
     p, k, n = ctx.p, ctx.k, ctx.modulus
-    work = [list(r) for r in sub.basis]
+    pool = [list(r) for r in sub.basis if any(r)]
     cols_left = list(range(m))
     placed: list[list[int]] = []
     col_order: list[int] = []
-    exps_full: list[int] = []
-    while work:
+    exps: list[int] = []
+    while pool:
         best_v, best_c, best_r = k, 0, 0
-        for ri, r in enumerate(work):
+        for ri, r in enumerate(pool):
             for c in cols_left:
                 a = r[c]
                 if a:
                     v = _val(a, p, k)
-                    if (v, c, ri) < (best_v, best_c, best_r):
+                    if (v, c) < (best_v, best_c):
                         best_v, best_c, best_r = v, c, ri
-        if best_v >= k:
-            break
-        piv = work.pop(best_r)
-        pe = p ** best_v
-        unit = piv[best_c] // pe
-        if unit != 1:
-            inv = pow(unit, -1, n)
-            piv = [(x * inv) % n for x in piv]
-        rest = []
-        for r in work:
-            a = r[best_c]
-            if a:
-                c = a // pe
-                r = [(x - c * y) % n for x, y in zip(r, piv)]
-            if any(r):
-                rest.append(r)
-        work = rest
-        placed.append(piv)
+        pool = _pivot_step(pool, placed, best_r, best_c, best_v, p, k, n)
         col_order.append(best_c)
-        exps_full.append(best_v)
+        exps.append(best_v)
         cols_left.remove(best_c)
     rank = len(placed)
     col_order += cols_left
-    exps_full += [k] * (m - rank)
-    # Rows in pivot-column order; triangular by construction.
-    mat = [[row[c] for c in col_order] for row in placed]
-    # Reduce each cofactor entry into [0, p^(e_j - e_i)) by subtracting
-    # multiples of lower generator rows; later columns only.
-    for i in range(rank):
-        pei = p ** exps_full[i]
-        for j in range(i + 1, rank):
-            bound = p ** (exps_full[j] - exps_full[i])
-            q = (mat[i][j] // pei) // bound
-            if q:
-                mat[i] = [(x - q * y) % n for x, y in zip(mat[i], mat[j])]
-    upper = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    for i in range(rank):
-        pei = p ** exps_full[i]
-        for j in range(i + 1, m):
-            upper[i][j] = mat[i][j] // pei
+    exps += [k] * (m - rank)
+    upper = [tuple(row[c] // pe for c in col_order)
+             for row, pe in zip(placed, (p ** e for e in exps))]
+    upper += [tuple(int(i == j) for j in range(m)) for i in range(rank, m)]
     # colperm sends each original column to its position in the new order.
     images = [0] * m
     for pos, c in enumerate(col_order, start=1):
         images[c] = pos
-    return _trusted_form(
-        ctx=ctx,
-        width=m,
-        rank=rank,
-        exponents=tuple(exps_full),
-        upper=tuple(tuple(r) for r in upper),
-        colperm=Perm(images),
-    )
+    return _trusted_form(ctx, m, rank, tuple(exps), tuple(upper), Perm(images))
 
 
 def generating_rows(form: CanonicalForm) -> Matrix:

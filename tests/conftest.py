@@ -10,7 +10,7 @@ from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from branchlift import Matrix, ModulusContext, Perm, classify, inv_unitriangular_int
+from branchlift import Matrix, ModulusContext, Perm, classify
 
 
 def brute_span(ctx: ModulusContext, width: int, rows) -> frozenset:
@@ -138,6 +138,26 @@ def reduce_mod(m: Matrix, ctx: ModulusContext) -> Matrix:
     """Every entry mapped to its canonical residue in [0, p^k)."""
     n = ctx.modulus
     return tuple(tuple(x % n for x in row) for row in m)
+
+
+def inv_unitriangular_int(q: Matrix) -> Matrix:
+    """Exact integer inverse of a unit upper-triangular matrix, column by
+    column from the bottom up; ValueError for any other matrix.  The
+    package solves w U = v by forward substitution instead and keeps no
+    inverse, so this is an independent reference."""
+    n = len(q)
+    if any(len(row) != n for row in q):
+        raise ValueError("matrix is not square")
+    for i in range(n):
+        if q[i][i] != 1:
+            raise ValueError(f"diagonal entry ({i+1},{i+1}) is not 1")
+        if any(q[i][:i]):
+            raise ValueError(f"row {i+1} is nonzero below the diagonal")
+    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n - 2, -1, -1):
+        for j in range(i + 1, n):
+            inv[i][j] = -sum(q[i][t] * inv[t][j] for t in range(i + 1, j + 1))
+    return tuple(tuple(row) for row in inv)
 
 
 def inv_unitriangular(q: Matrix, ctx: ModulusContext) -> Matrix:

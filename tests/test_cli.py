@@ -310,17 +310,37 @@ def test_missing_args(capsys):
     assert code == 2
 
 
-def test_module_entry_point():
+def run_entry_point(*args, timeout=None):
     # the child process must import the same package as this one, which
     # pytest's pythonpath setting alone does not pass on
     src = str(Path(branchlift.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "branchlift", "check", "--p", "2", "--k", "1",
-         "--n", "3", "--factors", "2,2", "--images", "1,0;0,1;1,1"],
+    return subprocess.run(
+        [sys.executable, "-m", "branchlift", *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
     )
+
+
+def test_module_entry_point():
+    proc = run_entry_point("check", "--p", "2", "--k", "1", "--n", "3",
+                           "--factors", "2,2", "--images", "1,0;0,1;1,1")
     assert proc.returncode == 0
     assert "liftable" in proc.stdout
+
+
+@pytest.mark.parametrize("args,code,message", [
+    (("classify", "--p", "3", "--k", "3000000", "--n", "17"), 3,
+     "p^(k*b) = 3^48000000 exceeds the bound"),
+    (("canonical", "--p", "1000000000000000003", "--k", "1", "--gens", "1 0"), 2,
+     "modulus p^k = 1000000000000000003 exceeds 65536"),
+])
+def test_huge_parameters_refused_at_once(args, code, message):
+    # neither the bound check nor the modulus check may compute p^(k*b)
+    # or trial-divide p before refusing; each took seconds to minutes
+    proc = run_entry_point(*args, timeout=10)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert message in json.loads(proc.stderr)["error"]

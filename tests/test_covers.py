@@ -34,7 +34,9 @@ from branchlift import (
     validate,
     validate_general,
 )
-from conftest import all_perms
+from branchlift.census import _identity_bases
+from branchlift.subgroups import _pivots
+from conftest import ENUMERATED_GROUPS, all_perms, inv_unitriangular_int
 
 Z4 = ModulusContext(2, 2)
 Z3 = ModulusContext(3, 1)
@@ -189,10 +191,29 @@ def test_cover_from_form_errors():
         cover_from_form(canonical_form(span(Z4, 2, [])), 5)  # n mismatch
 
 
+@pytest.mark.parametrize("p,k,b", ENUMERATED_GROUPS)
+def test_cover_from_form_against_inverse(p, k, b):
+    # loop i goes to row i of U^-1 from the first nonzero exponent on,
+    # and the last loop to minus the sum of the others, with U^-1 from
+    # the explicit reference inverse
+    ctx = ModulusContext(p, k)
+    count = 0
+    for basis in _identity_bases(ctx, b, max_rank=b - 1):
+        form = canonical_form(span(ctx, b, basis))
+        assert form.colperm.is_identity and form.exponents[-1] == k
+        start = next(i for i, e in enumerate(form.exponents) if e > 0)
+        factors = tuple(p ** e for e in form.exponents[start:])
+        u_inv = inv_unitriangular_int(form.upper)
+        images = [tuple(x % q for x, q in zip(row[start:], factors)) for row in u_inv]
+        images.append(tuple(-sum(col) % q for col, q in zip(zip(*images), factors)))
+        spec = cover_from_form(form, b + 1)
+        assert (spec.factor_orders, spec.images) == (factors, tuple(images)), form
+        count += 1
+    assert count
+
+
 @pytest.mark.parametrize("p,k,b", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (2, 2, 3)])
 def test_kernel_round_trip_over_forms(p, k, b):
-    from branchlift.census import _identity_bases
-
     ctx = ModulusContext(p, k)
     for basis in _identity_bases(ctx, b, max_rank=b - 1):
         sub = span(ctx, b, basis)
@@ -313,6 +334,28 @@ def test_equivalent_against_act_search():
             found += beta is not None
             missed += beta is None
     assert found and missed
+
+
+def test_target_pivots_computed_once(monkeypatch):
+    # the relabelled pair is not matched by the identity, so the search
+    # tries several candidates; the target's pivots are taken once for
+    # the whole search, and once for all generators in fully_liftable
+    calls = []
+
+    def counting_pivots(basis):
+        calls.append(basis)
+        return _pivots(basis)
+
+    monkeypatch.setattr("branchlift.action._pivots", counting_pivots)
+    monkeypatch.setattr("branchlift.covers._pivots", counting_pivots)
+    spec = CoverSpec(2, 1, 4, (2, 2), ((1, 0), (1, 0), (0, 1), (0, 1)))
+    relabelled = CoverSpec(2, 1, 4, (2, 2), ((0, 1), (1, 0), (1, 0), (0, 1)))
+    beta = equivalent(spec, relabelled)
+    assert beta is not None and not beta.is_identity
+    assert calls == [kernel(spec).basis]
+    calls.clear()
+    assert fully_liftable(kernel(ALL_ONES_3)).liftable
+    assert calls == [kernel(ALL_ONES_3).basis]
 
 
 def test_induced_automorphism_against_act():

@@ -1,8 +1,11 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchlift import ModulusContext, NotUnitriangularError, Perm, matmul
+from branchlift import ModulusContext, Perm, matmul
+from branchlift import modular
 from conftest import (
     NonUnitError,
     elementary_matrix,
@@ -31,6 +34,26 @@ def test_context_validation():
     with pytest.raises(ValueError):
         ModulusContext(2, 17)  # 2^17 > 2^16
     assert ModulusContext(2, 16).modulus == 65536
+
+
+def test_oversized_modulus_refused_before_primality(monkeypatch):
+    # trial division of a huge p would run for minutes; the size check
+    # must come first, and a huge k must not be raised to a power
+    is_prime = modular._is_prime
+
+    def bounded_is_prime(p):
+        assert p <= modular.MAX_MODULUS, f"_is_prime called with p = {p}"
+        return is_prime(p)
+
+    monkeypatch.setattr(modular, "_is_prime", bounded_is_prime)
+    for p, k, shown in [(1_000_000_000_000_000_003, 1, "1000000000000000003"),
+                        (65537, 1, "65537"), (3, 3_000_000_000, "3^3000000000")]:
+        with pytest.raises(ValueError, match=re.escape(f"modulus p^k = {shown} exceeds 65536")):
+            ModulusContext(p, k)
+    with pytest.raises(ValueError, match="p = 4 is not prime"):
+        ModulusContext(4, 1)
+    with pytest.raises(ValueError, match="k = 0 must be at least 1"):
+        ModulusContext(2, 0)
 
 
 def test_valuation_examples():
@@ -111,9 +134,9 @@ def test_inv_unitriangular_examples():
 
 def test_inv_unitriangular_rejects():
     ctx = ModulusContext(2, 2)
-    with pytest.raises(NotUnitriangularError):
+    with pytest.raises(ValueError):
         inv_unitriangular(((2, 0), (0, 1)), ctx)
-    with pytest.raises(NotUnitriangularError):
+    with pytest.raises(ValueError):
         inv_unitriangular(((1, 0), (1, 1)), ctx)
 
 
