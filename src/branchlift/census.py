@@ -68,7 +68,7 @@ from .subgroups import (
     span,
     subgroup_to_json,
 )
-from .action import _omega_twin, fully_liftable, omega_normalize
+from .action import _omega_twin, fully_liftable
 from .covers import (
     CoverSpec,
     cover_from_form,
@@ -104,26 +104,38 @@ class BoundExceededError(RuntimeError):
 
 
 def _check_bound(p: int, k: int, b: int, bound: int) -> None:
-    """Refuse p^(k*b) > bound.  For p >= 2 and k*b >= bound.bit_length(),
-    p^(k*b) >= 2^(k*b) > bound, so a huge k*b is refused without
-    computing the power."""
-    if (p >= 2 and k * b >= bound.bit_length()) or p ** (k * b) > bound:
+    """Refuse p^(k*b) > bound.  A p below 2 or a k*b below 1 passes: the
+    ring and width checks after this one refuse it.  For p >= 2 and
+    k*b >= bound.bit_length(), p^(k*b) >= 2^(k*b) > bound, so a huge k*b
+    is refused without computing the power."""
+    e = k * b
+    if p >= 2 and e >= 1 and (e >= bound.bit_length() or p ** e > bound):
         raise BoundExceededError(
-            f"ambient group order p^(k*b) = {p}^{k * b} exceeds the bound {bound}"
+            f"ambient group order p^(k*b) = {p}^{e} exceeds the bound {bound}"
         )
 
 
-def check_point(p: int, k: int, n: int, bound: int = DEFAULT_BOUND) -> None:
+def _checked_ring(p: int, k: int, b: int, bound: int) -> ModulusContext:
+    """The ring Z/p^k for a walk over (Z/p^k)^b, after the bound, width
+    and ring checks, in that order."""
+    _check_bound(p, k, b, bound)
+    _check_width(b)
+    return ModulusContext(p, k)
+
+
+def check_point(p: int, k: int, n: int, bound: int = DEFAULT_BOUND) -> ModulusContext:
     """Raise what ``classify(p, k, n, bound=bound)`` would raise on its
     input, before any work: ValueError for n < 3, a p that is not prime,
-    k < 1 or too many points, BoundExceededError past the bound."""
+    k < 1, too many points or too large a modulus, BoundExceededError past
+    the bound.  Returns the ring Z/p^k."""
     if n < 2:
         raise ValueError(f"a cover needs at least 2 marked points, got n = {n}")
     if n == 2:
-        raise ValueError("the census needs n >= 3; use classify_two_points for n = 2")
-    _check_bound(p, k, n - 1, bound)
-    _check_width(n - 1)
-    ModulusContext(p, k)
+        raise ValueError(
+            "the census needs n >= 3, got n = 2; use classify --n 2 "
+            "or classify_two_points"
+        )
+    return _checked_ring(p, k, n - 1, bound)
 
 
 def _identity_bases(ctx: ModulusContext, width: int,
@@ -310,9 +322,7 @@ def enumerate_subgroups(p: int, k: int, b: int,
     pending seeds of the module docstring), then the rest of its orbit
     under column permutations, breadth first.
     """
-    _check_bound(p, k, b, bound)
-    _check_width(b)
-    ctx = ModulusContext(p, k)
+    ctx = _checked_ring(p, k, b, bound)
     pending: set[Matrix] = set()
     for seed in _identity_bases(ctx, b):
         if seed in pending:
@@ -437,9 +447,8 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
     """Full census at (p, k, n): every cover class with deck-group exponent
     exactly p^k, its size, lifting verdict, and the comparison against the
     closed-form prediction."""
-    check_point(p, k, n, bound)
+    ctx = check_point(p, k, n, bound)
     b = n - 1
-    ctx = ModulusContext(p, k)
     start = time.perf_counter()
 
     points = _point_classes(ctx, b)
@@ -642,13 +651,14 @@ class AuditReport:
 def structural_audit(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
                      strict: bool = True, report: CensusReport | None = None) -> AuditReport:
     """Check the structural facts on every fully liftable kernel of the
-    census at (p, k, n); zero violations expected."""
+    census at (p, k, n); zero violations expected.  The facts are read
+    off each class's normal form, whose exponents and cofactor its omega
+    twin shares (``action.omega_normalize``)."""
     if report is None:
         report = classify(p, k, n, bound=bound, strict=strict)
     entries = []
     for rec in report.liftable_classes:
-        _, form = omega_normalize(rec.kernel)
-        violations = structure_violations(form.exponents, form.upper, n, p, k)
+        violations = structure_violations(rec.form.exponents, rec.form.upper, n, p, k)
         entries.append(AuditEntry(kernel=rec.kernel, violations=tuple(violations)))
     return AuditReport(p=p, k=k, n=n, entries=tuple(entries))
 

@@ -15,6 +15,7 @@ be written, 3 bound exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -180,10 +181,9 @@ def cmd_canonical(args) -> int:
                 raise ValueError("give --input FILE or --p --k --gens")
             ctx = ModulusContext(args.p, args.k)
             rows = _parse_matrix(args.gens)
-            width = args.m if args.m else (len(rows[0]) if rows else 0)
-            if width <= 0:
+            if args.m is None and not rows:
                 raise ValueError("cannot infer the ambient rank; pass --m")
-            sub = span(ctx, width, rows)
+            sub = span(ctx, len(rows[0]) if args.m is None else args.m, rows)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         return _fail(f"invalid subgroup input: {exc}", 2)
 
@@ -237,15 +237,6 @@ def _grid_from_args(args) -> list[tuple[int, int, int]]:
     return list(DEFAULT_GRID)
 
 
-def _check_grid(points, bound: int) -> None:
-    """Check every census point before the first census runs, so that a
-    bad point late in a grid prints nothing and writes no atlas."""
-    for p, k, n in points:
-        if n == 2:
-            raise ValueError("the census needs n >= 3, got n = 2; use classify --n 2")
-        check_point(p, k, n, bound)
-
-
 def cmd_classify(args) -> int:
     strict = not args.lax
     if args.n == 2:
@@ -266,10 +257,7 @@ def cmd_classify(args) -> int:
                 f"1 cover class with deck group {deck_group_name(rep.cover.factor_orders)}"
             )
         return 0
-    try:
-        report = classify(args.p, args.k, args.n, bound=args.bound, strict=strict)
-    except BoundExceededError as exc:
-        return _fail(str(exc), 3)
+    report = classify(args.p, args.k, args.n, bound=args.bound, strict=strict)
     out_dir = _output_dir(args)
     if out_dir:
         path = write_atlas(report, out_dir)
@@ -299,38 +287,15 @@ def _print_report_text(report) -> None:
 
 
 def cmd_verify(args) -> int:
-    points = _grid_from_args(args)
-    try:
-        _check_grid(points, args.bound)
-        summary = verify_classification(
-            points,
-            bound=args.bound,
-            strict=not args.lax,
-            atlas_dir=_output_dir(args),
-        )
-    except BoundExceededError as exc:
-        return _fail(str(exc), 3)
+    summary = verify_classification(
+        _grid_from_args(args),
+        bound=args.bound,
+        strict=not args.lax,
+        atlas_dir=_output_dir(args),
+    )
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "all_match": summary.all_match,
-                    "entries": [
-                        {
-                            "p": e.p,
-                            "k": e.k,
-                            "n": e.n,
-                            "match": e.match,
-                            "classes": e.classes,
-                            "liftable": e.liftable,
-                            "mismatches": list(e.mismatches),
-                        }
-                        for e in summary.entries
-                    ],
-                },
-                indent=2,
-            )
-        )
+        entries = [dataclasses.asdict(e) for e in summary.entries]
+        print(json.dumps({"all_match": summary.all_match, "entries": entries}, indent=2))
     else:
         for e in summary.entries:
             print(
@@ -345,40 +310,38 @@ def cmd_verify(args) -> int:
 
 def cmd_audit(args) -> int:
     points = [(args.p, args.k, args.n)] if args.n else _grid_from_args(args)
+    for p, k, n in points:
+        check_point(p, k, n, args.bound)
     clean = True
-    try:
-        _check_grid(points, args.bound)
-        for p, k, n in points:
-            report = structural_audit(p, k, n, bound=args.bound, strict=not args.lax)
-            bad = [e for e in report.entries if e.violations]
-            clean = clean and not bad
-            if args.format == "json":
-                print(
-                    json.dumps(
-                        {
-                            "p": p,
-                            "k": k,
-                            "n": n,
-                            "ok": report.ok,
-                            "kernels": len(report.entries),
-                            "violations": [
-                                {
-                                    "kernel": subgroup_to_json(e.kernel),
-                                    "violations": list(e.violations),
-                                }
-                                for e in bad
-                            ],
-                        }
-                    )
+    for p, k, n in points:
+        report = structural_audit(p, k, n, bound=args.bound, strict=not args.lax)
+        bad = [e for e in report.entries if e.violations]
+        clean = clean and not bad
+        if args.format == "json":
+            print(
+                json.dumps(
+                    {
+                        "p": p,
+                        "k": k,
+                        "n": n,
+                        "ok": report.ok,
+                        "kernels": len(report.entries),
+                        "violations": [
+                            {
+                                "kernel": subgroup_to_json(e.kernel),
+                                "violations": list(e.violations),
+                            }
+                            for e in bad
+                        ],
+                    }
                 )
-            else:
-                status = "ok" if report.ok else "VIOLATIONS"
-                print(f"audit p={p} k={k} n={n}: {len(report.entries)} liftable kernels, {status}")
-                for e in bad:
-                    for v in e.violations:
-                        print(f"  {v}")
-    except BoundExceededError as exc:
-        return _fail(str(exc), 3)
+            )
+        else:
+            status = "ok" if report.ok else "VIOLATIONS"
+            print(f"audit p={p} k={k} n={n}: {len(report.entries)} liftable kernels, {status}")
+            for e in bad:
+                for v in e.violations:
+                    print(f"  {v}")
     return 0 if clean else 1
 
 
@@ -439,9 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for name in ("p", "k"):
-        if getattr(args, name, None) is not None and getattr(args, name) <= 0:
-            return _fail(f"--{name} must be positive", 2)
     if getattr(args, "n", None) is not None and args.n < 2:
         return _fail(f"a cover needs at least 2 marked points, got --n {args.n}", 2)
     if args.command in ("classify",) and (args.p is None or args.k is None or args.n is None):
@@ -452,6 +412,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (OSError, ValueError, CoverValidationError) as exc:
         return _fail(str(exc), 2)
+    except BoundExceededError as exc:
+        return _fail(str(exc), 3)
 
 
 if __name__ == "__main__":

@@ -45,12 +45,15 @@ class ModulusContext:
     modulus: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        # The size check comes before the trial division in _is_prime, and
+        # A p below 2 is refused before any power is computed.  The size
+        # check comes before the trial division in _is_prime, and
         # p^k >= 2^k > MAX_MODULUS needs no power once k reaches its bits.
         p, k = self.p, self.k
         if k < 1:
             raise ValueError(f"k = {k} must be at least 1")
-        if p >= 2 and k >= MAX_MODULUS.bit_length():
+        if p < 2:
+            raise ValueError(f"p = {p} is not prime")
+        if k >= MAX_MODULUS.bit_length():
             raise ValueError(f"modulus p^k = {p}^{k} exceeds {MAX_MODULUS}")
         modulus = p ** k
         if modulus > MAX_MODULUS:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tracemalloc
 from collections import deque
 from math import factorial
@@ -290,6 +291,34 @@ def test_verify_checks_every_point_first(tmp_path):
         with pytest.raises(error):
             verify_classification([(2, 1, 3), bad], atlas_dir=atlas)
         assert not atlas.exists()
+
+
+@pytest.mark.parametrize("point,bound,error,message", [
+    ((2, 1, 1), census.DEFAULT_BOUND, ValueError, "at least 2 marked points, got n = 1"),
+    ((2, 1, 2), census.DEFAULT_BOUND, ValueError,
+     "got n = 2; use classify --n 2 or classify_two_points"),
+    ((2, 2, 30), census.DEFAULT_BOUND, BoundExceededError, "2^58 exceeds the bound"),
+    ((2, 1, 18), census.DEFAULT_BOUND, ValueError, "ambient rank 17 out of range"),
+    ((2, 0, 3), census.DEFAULT_BOUND, ValueError, "k = 0 must be at least 1"),
+    ((-3, 1, 3), census.DEFAULT_BOUND, ValueError, "p = -3 is not prime"),
+    ((4, 1, 3), census.DEFAULT_BOUND, ValueError, "p = 4 is not prime"),
+    ((257, 2, 3), 1 << 40, ValueError, "modulus p^k = 66049 exceeds 65536"),
+])
+def test_check_point_refusals(point, bound, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        census.check_point(*point, bound)
+
+
+def test_check_point_returns_the_ring():
+    assert census.check_point(3, 2, 3) == ModulusContext(3, 2)
+
+
+def test_negative_p_refused_before_any_power():
+    # (-3)^(3000000*16) would take minutes; p < 2 is refused as not prime
+    with pytest.raises(ValueError, match="p = -3 is not prime"):
+        next(enumerate_subgroups(-3, 3000000, 16))
+    with pytest.raises(ValueError, match="ambient rank 17 out of range"):
+        next(enumerate_subgroups(-3, 3000000, 17))
 
 
 def test_bound_exceeded():

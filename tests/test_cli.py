@@ -153,6 +153,13 @@ def test_canonical_edge_cases(tmp_path, capsys):
         bad.write_text(text)
         code, _, err = run_cli(capsys, "canonical", "--input", str(bad))
         assert code == 2 and "error" in json.loads(err)
+    # an explicit width is never replaced by the inferred one
+    for m in ("0", "17"):
+        code, out, err = run_cli(
+            capsys, "canonical", "--p", "2", "--k", "2", "--m", m, "--gens", "2,1",
+        )
+        assert code == 2 and out == ""
+        assert f"ambient rank {m} out of range" in json.loads(err)["error"]
     for text in (json.dumps("ab"), json.dumps([[1, 0]])):
         bad.write_text(text)
         code, _, err = run_cli(capsys, "canonical", "--input", str(bad))
@@ -310,6 +317,23 @@ def test_missing_args(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["classify", "--n", "3"],
+    ["check", "--n", "3", "--factors", "2,2", "--images", "1,0;0,1;1,1"],
+    ["canonical", "--gens", "1"],
+])
+@pytest.mark.parametrize("p,k,message", [
+    ("0", "1", "p = 0 is not prime"),
+    ("-1", "1", "p = -1 is not prime"),
+    ("2", "0", "k = 0 must be at least 1"),
+    ("0", "-1", "k = -1 must be at least 1"),
+])
+def test_nonpositive_p_and_k_refused_by_the_ring(capsys, command, p, k, message):
+    code, out, err = run_cli(capsys, command[0], "--p", p, "--k", k, *command[1:])
+    assert code == 2 and out == ""
+    assert message in json.loads(err)["error"]
+
+
 def run_entry_point(*args, timeout=None):
     # the child process must import the same package as this one, which
     # pytest's pythonpath setting alone does not pass on
@@ -336,6 +360,7 @@ def test_module_entry_point():
      "p^(k*b) = 3^48000000 exceeds the bound"),
     (("canonical", "--p", "1000000000000000003", "--k", "1", "--gens", "1 0"), 2,
      "modulus p^k = 1000000000000000003 exceeds 65536"),
+    (("verify", "--grid=-3,3000000,17"), 2, "p = -3 is not prime"),
 ])
 def test_huge_parameters_refused_at_once(args, code, message):
     # neither the bound check nor the modulus check may compute p^(k*b)

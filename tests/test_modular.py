@@ -56,6 +56,13 @@ def test_oversized_modulus_refused_before_primality(monkeypatch):
         ModulusContext(2, 0)
 
 
+@pytest.mark.parametrize("p", [1, 0, -1, -2, -3])
+def test_p_below_two_refused_before_any_power(p):
+    # (-3)^100000 has 47,713 digits, past Python's limit for printing it
+    with pytest.raises(ValueError, match=re.escape(f"p = {p} is not prime")):
+        ModulusContext(p, 100000)
+
+
 def test_valuation_examples():
     assert valuation(2, ModulusContext(2, 2)) == 1
     assert valuation(0, ModulusContext(2, 2)) == 2
