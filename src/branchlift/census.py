@@ -10,37 +10,12 @@ compares the liftable classes against a closed-form prediction:
             p^(k-r) | n;
   family 3: deck group Z/p^k with p^k | n, all loop images 1.
 
-Enumeration seeds from the Howell bases of the normal forms with trivial
-column permutation, written down from the forms (``_identity_bases``),
-and closes them under column permutations, which reaches every subgroup;
-a class is fully liftable exactly when its orbit is a single subgroup.
-``_orbit`` walks one orbit and yields each of its bases once.
-
-The seed loop skips the seeds an earlier orbit reached, yet keeps only a
-set ``pending``: the identity-shape members (``_identity_shape``) other
-than the seed of each orbit walked, each removed when its own turn as a
-seed comes and skipped then, so memory follows the largest orbit, not the
-subgroup count.  ``_identity_bases`` emits each identity-form span once,
-and an orbit walked from seed s holds no identity basis t that comes
-before s: by induction on the order, t either walked its own orbit, which
-holds s, or was pending from an earlier orbit, which then is s's orbit;
-either way s was added to ``pending`` and skipped.  So every basis added
-comes after its seed, it is removed when the loop reaches it, and
-``pending`` is empty at the end, which the loop checks.  Orbits are
-disjoint, so the subgroups walked number the sum of the orbit sizes.
-
-Both walks move Howell bases by adjacent column swaps, each one a local
-update (``subgroups._swap_columns``) that re-eliminates only the rows
-pivoting at the two swapped columns.  The enumeration swaps columns of
-(Z/p^k)^b directly.  The census lifts each kernel K of (Z/p^k)^b to its
-preimage in (Z/p^k)^n under x -> (x_j - x_n)_j, with columns ordered
-(n, 1, ..., b): there a point permutation acts by permuting coordinates,
-and the transpositions (n 1), (1 2), ..., (b-1 b), which generate S_n,
-are the adjacent column swaps.  The lifted Howell basis is
-(1 | ones reduced against K) on top of (0 | row) for each row of K's
-basis, so the walk stores only K's basis.  A swap is computed only when
-the relations of S_n do not already give its result; ``_orbit`` proves
-that such a deduced edge never hides a new basis.
+The census and ``enumerate_subgroups`` share one walk: the orbits of the
+point permutations S_n on the subgroups of (Z/p^k)^b, b = n - 1, each
+found once by one seed loop (``_orbits``) and walked over the lifts of
+the subgroups (``_lift``), where the transpositions (n 1), (1 2), ...,
+(b-1 b) that generate S_n are adjacent column swaps (``_orbit``).  A
+class is fully liftable exactly when its orbit is a single subgroup.
 """
 
 from __future__ import annotations
@@ -81,6 +56,7 @@ __all__ = [
     "DEFAULT_BOUND",
     "BoundExceededError",
     "check_point",
+    "check_grid",
     "enumerate_subgroups",
     "classify",
     "predict_liftable",
@@ -138,15 +114,23 @@ def check_point(p: int, k: int, n: int, bound: int = DEFAULT_BOUND) -> ModulusCo
     return _checked_ring(p, k, n - 1, bound)
 
 
-def _identity_bases(ctx: ModulusContext, width: int,
-                    max_rank: int | None = None) -> Iterator[Matrix]:
+def check_grid(points: Sequence[tuple[int, int, int]], bound: int = DEFAULT_BOUND) -> None:
+    """Refuse a grid with no points with ValueError, so that it cannot read
+    as a passed verification, then ``check_point`` each point."""
+    if not points:
+        raise ValueError("the grid has no points")
+    for p, k, n in points:
+        check_point(p, k, n, bound)
+
+
+def _identity_bases(ctx: ModulusContext, width: int, max_rank: int) -> Iterator[Matrix]:
     """The Howell bases of the spans of all normal forms (e, U, id) with
     trivial column permutation, in a fixed order; row i is p^(e_i) U_i.
 
+    Only forms of rank at most ``max_rank`` are emitted; below the width
+    that keeps the subgroups whose quotient has exponent exactly p^k.
     Cofactor entries range over their full bounds, so by the normal-form
-    theorem every subgroup is a column permutation of some emitted span.
-    Restricting ``max_rank`` below the width keeps only subgroups whose
-    quotient has exponent exactly p^k.
+    theorem every such subgroup is a column permutation of an emitted span.
 
     The rows are the Howell basis of their span.  U is unit
     upper-triangular and e_i < k weakly increasing, so row i pivots at
@@ -164,8 +148,7 @@ def _identity_bases(ctx: ModulusContext, width: int,
     p^(e_i), an exact division of entries below p^k.
     """
     p, k = ctx.p, ctx.k
-    top = width if max_rank is None else max_rank
-    for rank in range(top + 1):
+    for rank in range(max_rank + 1):
         for exps in combinations_with_replacement(range(k), rank):
             full = exps + (k,) * (width - rank)
             free = [
@@ -231,9 +214,9 @@ def _follow(table: list[list[int | None]], x: int, word: Sequence[int]) -> int |
     return x
 
 
-def _orbit(ctx: ModulusContext, seed: Matrix, swaps: Sequence[int]) -> Iterator[Matrix]:
+def _orbit(ctx: ModulusContext, seed: Matrix) -> Iterator[Matrix]:
     """The orbit of the Howell basis ``seed`` under the adjacent column
-    swaps at the columns in ``swaps``, walked lazily.
+    swaps, walked lazily.
 
     Yields the seed, then each new basis breadth first as soon as it is
     found, each basis once.  The walk knows only its own orbit: skipping
@@ -241,10 +224,10 @@ def _orbit(ctx: ModulusContext, seed: Matrix, swaps: Sequence[int]) -> Iterator[
 
     The walk keeps its Schreier graph: ``elems`` lists the bases in the
     order found, ``index`` numbers them, and ``table[x][i]`` is the number
-    of swap i applied to basis x, or None while unknown.  Swap i is an
-    involution, so an edge x -> y is recorded as y -> x too.  Two swaps
-    s_i, s_h at columns c, c' satisfy (s_i s_h)^m = 1, with m = 3 when
-    |c - c'| = 1 (the braid relation of adjacent transpositions) and
+    of the swap at columns i, i + 1 applied to basis x, or None while
+    unknown.  Swap i is an involution, so an edge x -> y is recorded as
+    y -> x too.  Two swaps s_i, s_h satisfy (s_i s_h)^m = 1, with m = 3
+    when |i - h| = 1 (the braid relation of adjacent transpositions) and
     m = 2 otherwise (disjoint transpositions commute).  Hence s_i equals
     the word h, i, h, ..., h of 2m - 1 letters, and before swap i is
     computed at x, each such word is followed from x through the table;
@@ -256,10 +239,10 @@ def _orbit(ctx: ModulusContext, seed: Matrix, swaps: Sequence[int]) -> Iterator[
     completes and the swap is computed.  The bases found, and the order
     they are found in, are those of the walk that computes every edge.
     """
+    swaps = range(len(seed[0]) - 1)
     words = [
-        [(h, i) * (2 if abs(c - swaps[h]) == 1 else 1) + (h,)
-         for h in range(len(swaps)) if h != i]
-        for i, c in enumerate(swaps)
+        [(h, i) * (2 if abs(i - h) == 1 else 1) + (h,) for h in swaps if h != i]
+        for i in swaps
     ]
     yield seed
     elems = [seed]
@@ -269,7 +252,7 @@ def _orbit(ctx: ModulusContext, seed: Matrix, swaps: Sequence[int]) -> Iterator[
     # breadth-first queue.
     for x, cur in enumerate(elems):
         row = table[x]
-        for i, c in enumerate(swaps):
+        for i in swaps:
             if row[i] is not None:
                 continue
             for word in words[i]:
@@ -277,7 +260,7 @@ def _orbit(ctx: ModulusContext, seed: Matrix, swaps: Sequence[int]) -> Iterator[
                 if y is not None:
                     break
             else:
-                moved = _swap_columns(ctx, cur, c)
+                moved = _swap_columns(ctx, cur, i)
                 y = index.get(moved)
                 if y is None:
                     y = index[moved] = len(elems)
@@ -312,27 +295,62 @@ def _unlift(lifted: Matrix) -> Matrix:
     return tuple(row[1:] for row in lifted[1:])
 
 
+def _orbits(ctx: ModulusContext, b: int, max_rank: int) -> Iterator[Iterator[Matrix]]:
+    """The orbits under S_n, n = b + 1, of the lifts of the subgroups of
+    (Z/p^k)^b whose normal form has rank at most ``max_rank``, each once,
+    as a lazy walk that the caller exhausts before it asks for the next.
+
+    The seeds are the Howell bases of the forms with trivial column
+    permutation (``_identity_bases``).  Their column permutations, the
+    point permutations fixing n, reach every subgroup, so their orbits do.
+    A point permutation is an automorphism of (Z/p^k)^b, so it keeps the
+    quotient, a sum of b - r copies of Z/p^k and smaller cyclic groups at
+    rank r, and with it the rank.  So every identity-shape member of an
+    orbit (``_identity_shape``; a lift has that shape exactly when its
+    subgroup does) is a seed.
+
+    The loop skips the seeds an earlier orbit reached, yet keeps only a
+    set ``pending``: the identity-shape members other than the seed of
+    each orbit walked, each removed when its own turn as a seed comes, so
+    memory follows the largest orbit, not the subgroup count.  Each seed
+    comes once, and an orbit walked from seed s holds no seed t that comes
+    before s: by induction on the order, t either walked its own orbit,
+    which holds s, or was pending from an earlier orbit, which then is
+    s's orbit; either way s was skipped.  So ``pending`` is empty at the
+    end, which the loop checks, and the subgroups walked number the sum
+    of the orbit sizes.
+    """
+    pending: set[Matrix] = set()
+
+    def walk(seed: Matrix) -> Iterator[Matrix]:
+        orbit = _orbit(ctx, _lift(ctx, b, seed))
+        yield next(orbit)
+        for x in orbit:
+            if _identity_shape(x):
+                pending.add(_unlift(x))
+            yield x
+
+    for seed in _identity_bases(ctx, b, max_rank):
+        if seed in pending:
+            pending.remove(seed)
+            continue
+        yield walk(seed)
+    _check_drained(pending)
+
+
 def enumerate_subgroups(p: int, k: int, b: int,
                         bound: int = DEFAULT_BOUND) -> Iterator[CanonicalForm]:
     """Normal forms of all subgroups of (Z/p^k)^b, one per subgroup.
 
-    Spans of trivial-column-permutation forms are closed under adjacent
-    column swaps.  Forms come orbit by orbit: the span of each
-    trivial-column-permutation form that no earlier orbit reached (the
-    pending seeds of the module docstring), then the rest of its orbit
-    under column permutations, breadth first.
+    Forms come in orbits of the point permutations S_(b+1) acting on
+    (Z/p^k)^b as on the homology of the sphere with b + 1 marked points,
+    each orbit breadth first from its first trivial-column-permutation
+    form (``_orbits``), and each form as soon as the walk finds it.
     """
     ctx = _checked_ring(p, k, b, bound)
-    pending: set[Matrix] = set()
-    for seed in _identity_bases(ctx, b):
-        if seed in pending:
-            pending.remove(seed)
-            continue
-        for i, basis in enumerate(_orbit(ctx, seed, range(b - 1))):
-            if i and _identity_shape(basis):
-                pending.add(basis)
-            yield canonical_form(_trusted_subgroup(ctx, b, basis))
-    _check_drained(pending)
+    for orbit in _orbits(ctx, b, b):
+        for x in orbit:
+            yield canonical_form(_trusted_subgroup(ctx, b, _unlift(x)))
 
 
 @dataclass(frozen=True)
@@ -456,22 +474,14 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
     predicted_bases = [kernel(pr.cover).basis for pr in predicted]
     matched_predictions: set[int] = set()
     all_matched = True
-    pending: set[Matrix] = set()
     seen = 0
     records = []
     dropped = 0
-    for seed in _identity_bases(ctx, b, max_rank=b - 1):
-        if seed in pending:
-            pending.remove(seed)
-            continue
-        orbit = [*_orbit(ctx, _lift(ctx, b, seed), range(b))]
+    for walk in _orbits(ctx, b, b - 1):
+        orbit = [*walk]
         seen += len(orbit)
-        # A lifted basis has identity shape exactly when its subgroup's
-        # basis does: its row 0 pivots at column 0 with entry 1.  Point
-        # permutations keep the quotient, so those bases have rank below b
-        # and come as seeds.  Lifted rows after the first are (0 | row),
-        # so ordering by them orders the subgroups' bases.
-        pending.update(_unlift(x) for x in orbit[1:] if _identity_shape(x))
+        # Lifted rows after the first are (0 | row), so ordering by them
+        # orders the subgroups' bases.
         rep = _trusted_subgroup(ctx, b, _unlift(min(orbit, key=lambda x: x[1:])))
         pivots = _pivots(rep.basis)
         if strict and any(_member(v, pivots, ctx.modulus) for v in points):
@@ -502,7 +512,6 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
                 family_param=family_param,
             )
         )
-    _check_drained(pending)
     records.sort(key=lambda r: (order(r.kernel), r.kernel.basis))
     match = all_matched and matched_predictions == set(range(len(predicted)))
 
@@ -550,11 +559,11 @@ def verify_classification(points: Sequence[tuple[int, int, int]], *,
 
     A missing predicted class names the generator its kernel fails to be
     invariant under, or None when that kernel is invariant after all.
-    Every point is checked before the first census, so a grid with an
-    invalid point runs no census and writes no atlas.
+    The grid is checked before the first census (``check_grid``), so an
+    empty grid, or one with an invalid point, runs no census and writes no
+    atlas.
     """
-    for p, k, n in points:
-        check_point(p, k, n, bound)
+    check_grid(points, bound)
     entries = []
     for p, k, n in points:
         report = classify(p, k, n, bound=bound, strict=strict)

@@ -45,7 +45,7 @@ from .covers import (
 from .census import (
     BoundExceededError,
     DEFAULT_BOUND,
-    check_point,
+    check_grid,
     classify,
     classify_two_points,
     report_to_json,
@@ -221,7 +221,7 @@ def cmd_canonical(args) -> int:
 
 
 def _grid_from_args(args) -> list[tuple[int, int, int]]:
-    if getattr(args, "grid", None):
+    if args.grid is not None:
         points = []
         for chunk in args.grid.split(";"):
             chunk = chunk.strip()
@@ -310,8 +310,7 @@ def cmd_verify(args) -> int:
 
 def cmd_audit(args) -> int:
     points = [(args.p, args.k, args.n)] if args.n else _grid_from_args(args)
-    for p, k, n in points:
-        check_point(p, k, n, args.bound)
+    check_grid(points, args.bound)
     clean = True
     for p, k, n in points:
         report = structural_audit(p, k, n, bound=args.bound, strict=not args.lax)

@@ -14,6 +14,7 @@ finite abelian cover into its prime-power parts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import permutations
 from operator import mul
@@ -97,16 +98,26 @@ class CoverSpec:
             for i in range(len(self.factor_orders) - 1)
         ):
             raise ValueError("factor orders must be ascending")
-        if len(self.images) != self.n:
-            raise ValueError(f"expected {self.n} image rows, got {len(self.images)}")
-        t = len(self.factor_orders)
-        reduced = []
-        for row in self.images:
-            if len(row) != t:
-                raise ValueError("image row width differs from the factor count")
-            reduced.append(tuple(x % q for x, q in zip(row, self.factor_orders)))
-        object.__setattr__(self, "images", tuple(reduced))
-        object.__setattr__(self, "factor_orders", tuple(self.factor_orders))
+        _store_reduced_images(self)
+
+
+def _store_reduced_images(spec: CoverSpec | GeneralCoverSpec) -> None:
+    """Check that a cover has one image row per point, each as wide as the
+    factor list, and store the rows with entry j reduced mod factor j."""
+    if len(spec.images) != spec.n:
+        raise ValueError(f"expected {spec.n} image rows, got {len(spec.images)}")
+    if any(len(row) != len(spec.factor_orders) for row in spec.images):
+        raise ValueError("image row width differs from the factor count")
+    reduced = tuple(tuple(x % q for x, q in zip(row, spec.factor_orders))
+                    for row in spec.images)
+    object.__setattr__(spec, "images", reduced)
+    object.__setattr__(spec, "factor_orders", tuple(spec.factor_orders))
+
+
+def _sums_to_zero(spec: CoverSpec | GeneralCoverSpec) -> bool:
+    """Whether the loop images sum to zero in every factor."""
+    return not any(sum(row[j] for row in spec.images) % q
+                   for j, q in enumerate(spec.factor_orders))
 
 
 def _is_power_of(q: int, p: int) -> bool:
@@ -116,10 +127,7 @@ def _is_power_of(q: int, p: int) -> bool:
 
 
 def deck_group_order(spec: CoverSpec) -> int:
-    total = 1
-    for q in spec.factor_orders:
-        total *= q
-    return total
+    return math.prod(spec.factor_orders)
 
 
 def deck_group_name(factor_orders: tuple[int, ...]) -> str:
@@ -141,12 +149,7 @@ def validate(spec: CoverSpec, strict: bool = True) -> list[str]:
     that no marked point has a vanishing image, which would mean the cover
     is not actually branched there.
     """
-    codes = []
-    for j, q in enumerate(spec.factor_orders):
-        total = sum(row[j] for row in spec.images) % q
-        if total:
-            codes.append(NOT_SUM_ZERO)
-            break
+    codes = [] if _sums_to_zero(spec) else [NOT_SUM_ZERO]
     if spec.factor_orders[-1] != spec.p ** spec.k:
         codes.append(WRONG_EXPONENT)
     ctx = spec.ctx
@@ -341,15 +344,7 @@ class GeneralCoverSpec:
             raise ValueError("need at least two marked points")
         if not self.factor_orders or any(q < 2 for q in self.factor_orders):
             raise ValueError("factor orders must all be at least 2")
-        if len(self.images) != self.n:
-            raise ValueError(f"expected {self.n} image rows, got {len(self.images)}")
-        reduced = []
-        for row in self.images:
-            if len(row) != len(self.factor_orders):
-                raise ValueError("image row width differs from the factor count")
-            reduced.append(tuple(x % q for x, q in zip(row, self.factor_orders)))
-        object.__setattr__(self, "images", tuple(reduced))
-        object.__setattr__(self, "factor_orders", tuple(self.factor_orders))
+        _store_reduced_images(self)
 
 
 def _prime_factors(q: int) -> dict[int, int]:
@@ -391,11 +386,7 @@ def primary_parts(g: GeneralCoverSpec) -> list[CoverSpec]:
 
 def validate_general(g: GeneralCoverSpec, strict: bool = True) -> list[str]:
     """Validation for general abelian covers via their prime-power parts."""
-    codes = []
-    for j, q in enumerate(g.factor_orders):
-        if sum(row[j] for row in g.images) % q:
-            codes.append(NOT_SUM_ZERO)
-            break
+    codes = [] if _sums_to_zero(g) else [NOT_SUM_ZERO]
     for part in primary_parts(g):
         part_codes = validate(part, strict=False)
         for c in part_codes:
@@ -426,7 +417,6 @@ def cover_from_json(data: dict) -> CoverSpec:
         tuple(json_int(q) for q in data["factors"]),
         tuple(tuple(json_int(x) for x in row) for row in data["images"]),
     )
-    for j, q in enumerate(spec.factor_orders):
-        if sum(row[j] for row in spec.images) % q:
-            raise CoverValidationError([NOT_SUM_ZERO], "stored images do not sum to zero")
+    if not _sums_to_zero(spec):
+        raise CoverValidationError([NOT_SUM_ZERO], "stored images do not sum to zero")
     return spec

@@ -236,7 +236,7 @@ def test_criterion_agrees_with_matrix_formula(p, k, b, sample):
     if sample is not None:
         perms = random.Random(b).sample(perms, sample)
     ctx = ModulusContext(p, k)
-    forms = [canonical_form(span(ctx, b, basis)) for basis in _identity_bases(ctx, b)]
+    forms = [canonical_form(span(ctx, b, basis)) for basis in _identity_bases(ctx, b, max_rank=b)]
     verdicts = set()
     for form in forms:
         for alpha in perms:

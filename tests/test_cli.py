@@ -274,6 +274,21 @@ def test_malformed_grid_chunk_exits_2(capsys, command, bad):
     assert repr(bad) in message and "p,k,n" in message
 
 
+@pytest.mark.parametrize("command", ["verify", "audit"])
+@pytest.mark.parametrize("grid", [";", " ; ", ""])
+def test_empty_grid_exits_2(tmp_path, capsys, command, grid):
+    # an empty grid checks nothing, so it must neither pass nor fall back
+    # to the default grid
+    atlas = tmp_path / "atlas"
+    args = [command, "--grid", grid]
+    if command == "verify":
+        args += ["--output", str(atlas)]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and out == ""
+    assert "the grid has no points" in json.loads(err)["error"]
+    assert not atlas.exists()
+
+
 def test_audit_two_points_points_to_classify(capsys):
     code, out, err = run_cli(capsys, "audit", "--p", "2", "--k", "1", "--n", "2")
     assert code == 2 and out == ""
