@@ -115,11 +115,16 @@ def check_point(p: int, k: int, n: int, bound: int = DEFAULT_BOUND) -> ModulusCo
 
 
 def check_grid(points: Sequence[tuple[int, int, int]], bound: int = DEFAULT_BOUND) -> None:
-    """Refuse a grid with no points with ValueError, so that it cannot read
-    as a passed verification, then ``check_point`` each point."""
+    """Refuse with ValueError a grid with no points, so that it cannot read
+    as a passed verification, and a grid that repeats a point, which would
+    report it twice; ``check_point`` each point."""
     if not points:
         raise ValueError("the grid has no points")
+    seen = set()
     for p, k, n in points:
+        if (p, k, n) in seen:
+            raise ValueError(f"the grid repeats the point {p},{k},{n}")
+        seen.add((p, k, n))
         check_point(p, k, n, bound)
 
 
@@ -471,9 +476,10 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
 
     points = _point_classes(ctx, b)
     predicted = predict_liftable(p, k, n)
-    predicted_bases = [kernel(pr.cover).basis for pr in predicted]
-    matched_predictions: set[int] = set()
-    all_matched = True
+    # The kernels key the predictions: for n >= 3 the deck groups of the
+    # three families have orders p^(k(n-1)), p^(r(n-2)+k) for 0 < r < k,
+    # and p^k, pairwise different, so their kernels differ.
+    by_kernel = {kernel(pr.cover).basis: pr for pr in predicted}
     seen = 0
     records = []
     dropped = 0
@@ -490,15 +496,7 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
         verdict = fully_liftable(rep)
         if verdict.liftable != (len(orbit) == 1):
             raise AssertionError("orbit size disagrees with the generator check")
-        family = family_param = None
-        if verdict.liftable:
-            hits = [i for i, basis in enumerate(predicted_bases) if basis == rep.basis]
-            if len(hits) == 1:
-                pr = predicted[hits[0]]
-                family, family_param = pr.family, pr.param
-                matched_predictions.add(hits[0])
-            else:
-                all_matched = False
+        pr = by_kernel.get(rep.basis) if verdict.liftable else None
         form = canonical_form(rep)
         records.append(
             CoverClass(
@@ -508,12 +506,12 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
                 liftable=verdict.liftable,
                 witness=verdict.witness,
                 size=len(orbit),
-                family=family,
-                family_param=family_param,
+                family=None if pr is None else pr.family,
+                family_param=None if pr is None else pr.param,
             )
         )
     records.sort(key=lambda r: (order(r.kernel), r.kernel.basis))
-    match = all_matched and matched_predictions == set(range(len(predicted)))
+    match = {r.kernel.basis for r in records if r.liftable} == by_kernel.keys()
 
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return CensusReport(
@@ -557,11 +555,13 @@ def verify_classification(points: Sequence[tuple[int, int, int]], *,
     """Run the census over a grid and collect any disagreement with the
     closed form, with the offending kernels as diagnostics.
 
-    A missing predicted class names the generator its kernel fails to be
-    invariant under, or None when that kernel is invariant after all.
-    The grid is checked before the first census (``check_grid``), so an
-    empty grid, or one with an invalid point, runs no census and writes no
-    atlas.
+    A liftable class whose kernel no prediction has is an unpredicted
+    class, and a predicted kernel that is not among the liftable kernels
+    is a missing prediction; the latter names the generator its kernel
+    fails to be invariant under, or None when that kernel is invariant
+    after all.  The grid is checked before the first census
+    (``check_grid``), so an empty grid, one that repeats a point, or one
+    with an invalid point runs no census and writes no atlas.
     """
     check_grid(points, bound)
     entries = []
@@ -580,14 +580,10 @@ def verify_classification(points: Sequence[tuple[int, int, int]], *,
                             "witness": None,
                         }
                     )
-            matched = {
-                (rec.family, rec.family_param)
-                for rec in report.liftable_classes
-                if rec.family is not None
-            }
+            liftable = {rec.kernel.basis for rec in report.liftable_classes}
             for pr in report.predicted:
-                if (pr.family, pr.param) not in matched:
-                    ker = kernel(pr.cover)
+                ker = kernel(pr.cover)
+                if ker.basis not in liftable:
                     mismatches.append(
                         {
                             "kind": "missing_predicted_class",
@@ -657,14 +653,13 @@ class AuditReport:
         return all(not e.violations for e in self.entries)
 
 
-def structural_audit(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
-                     strict: bool = True, report: CensusReport | None = None) -> AuditReport:
+def structural_audit(report: CensusReport) -> AuditReport:
     """Check the structural facts on every fully liftable kernel of the
-    census at (p, k, n); zero violations expected.  The facts are read
-    off each class's normal form, whose exponents and cofactor its omega
-    twin shares (``action.omega_normalize``)."""
-    if report is None:
-        report = classify(p, k, n, bound=bound, strict=strict)
+    census ``report``, as ``classify`` returns it; zero violations
+    expected.  The facts are read off each class's normal form, whose
+    exponents and cofactor its omega twin shares
+    (``action.omega_normalize``)."""
+    p, k, n = report.p, report.k, report.n
     entries = []
     for rec in report.liftable_classes:
         violations = structure_violations(rec.form.exponents, rec.form.upper, n, p, k)

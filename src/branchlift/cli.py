@@ -33,13 +33,13 @@ from .subgroups import (
 )
 from .action import fully_liftable
 from .covers import (
+    CoverSpec,
     CoverValidationError,
     GeneralCoverSpec,
     cover_from_json,
     deck_group_name,
     kernel,
     primary_parts,
-    validate,
     validate_general,
 )
 from .census import (
@@ -107,8 +107,6 @@ def _cover_from_args(args) -> "object":
         raise ValueError("give --input FILE or all of --p --k --n --factors --images")
     factors = tuple(int(x) for x in args.factors.replace(",", " ").split())
     images = tuple(tuple(row) for row in _parse_matrix(args.images))
-    from .covers import CoverSpec
-
     return CoverSpec(args.p, args.k, args.n, factors, images)
 
 
@@ -150,10 +148,10 @@ def cmd_check(args) -> int:
                 )
         return 0 if liftable else 1
 
-    codes = validate(spec, strict)
-    if codes:
-        return _fail("validation failed: " + ", ".join(codes), 2)
-    ker = kernel(spec, strict)
+    try:
+        ker = kernel(spec, strict)
+    except CoverValidationError as exc:
+        return _fail("validation failed: " + ", ".join(exc.codes), 2)
     verdict = fully_liftable(ker)
     payload = {
         **verdict.to_json(),
@@ -313,7 +311,7 @@ def cmd_audit(args) -> int:
     check_grid(points, args.bound)
     clean = True
     for p, k, n in points:
-        report = structural_audit(p, k, n, bound=args.bound, strict=not args.lax)
+        report = structural_audit(classify(p, k, n, bound=args.bound, strict=not args.lax))
         bad = [e for e in report.entries if e.violations]
         clean = clean and not bad
         if args.format == "json":
@@ -407,6 +405,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("classify needs --p --k --n", 2)
     if args.command == "audit" and len({args.p is None, args.k is None, args.n is None}) > 1:
         return _fail("audit takes --p, --k and --n together or none of them", 2)
+    if args.command == "audit" and args.n is not None and args.grid is not None:
+        return _fail("audit takes one point (--p --k --n) or --grid, not both", 2)
     try:
         return args.func(args)
     except (OSError, ValueError, CoverValidationError) as exc:

@@ -180,7 +180,7 @@ def test_criterion_5_structural_audit(census_cache):
     kernels = 0
     violations = []
     for p, k, n, _ in ACCEPTANCE_GRID:
-        audit = structural_audit(p, k, n, report=census_cache(p, k, n))
+        audit = structural_audit(census_cache(p, k, n))
         kernels += len(audit.entries)
         for entry in audit.entries:
             violations.extend(entry.violations)

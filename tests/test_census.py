@@ -277,8 +277,13 @@ def test_census_memory_follows_the_largest_orbit():
 
 def test_verify_checks_every_point_first(tmp_path):
     atlas = tmp_path / "atlas"
-    for bad, error in [((2, 1, 2), ValueError), ((2, 2, 30), BoundExceededError)]:
-        with pytest.raises(error):
+    for bad, error, message in [
+        ((2, 1, 2), ValueError, "got n = 2"),
+        ((2, 2, 30), BoundExceededError, "exceeds the bound"),
+        # a repeated point would be reported, and its atlas written, twice
+        ((2, 1, 3), ValueError, "the grid repeats the point 2,1,3"),
+    ]:
+        with pytest.raises(error, match=message):
             verify_classification([(2, 1, 3), bad], atlas_dir=atlas)
         assert not atlas.exists()
 
@@ -435,7 +440,7 @@ def test_verify_beyond_the_default_grid():
 
 
 def test_structural_audit_clean(census_cache):
-    report = structural_audit(2, 2, 4, report=census_cache(2, 2, 4))
+    report = structural_audit(census_cache(2, 2, 4))
     assert report.ok
     assert len(report.entries) == 3
     # the trivial kernel passes vacuously: no constraint binds
@@ -605,3 +610,35 @@ def test_verify_names_failing_generator_of_missing_prediction(monkeypatch):
     assert missing["kind"] == "missing_predicted_class"
     assert missing["kernel"]["basis"] == [list(r) for r in ker.basis]
     assert missing["witness"] == verdict.witness.cycles()
+
+
+def test_unpredicted_liftable_class_is_a_mismatch(monkeypatch):
+    # Drop family 3 from the prediction at (2,2,4): its class still lifts,
+    # now with no prediction to match.
+    original = census.predict_liftable
+
+    def predict(p, k, n):
+        return [pr for pr in original(p, k, n) if pr.family != 3]
+
+    (family3,) = [pr for pr in original(2, 2, 4) if pr.family == 3]
+    ker = kernel(family3.cover)
+    monkeypatch.setattr(census, "predict_liftable", predict)
+    report = classify(2, 2, 4)
+    assert not report.match
+    (rec,) = [c for c in report.liftable_classes if c.kernel.basis == ker.basis]
+    assert rec.family is None and rec.family_param is None
+    summary = verify_classification([(2, 2, 4)])
+    assert not summary.all_match
+    (unpredicted,) = summary.entries[0].mismatches
+    assert unpredicted["kind"] == "unpredicted_liftable_class"
+    assert unpredicted["kernel"]["basis"] == [list(r) for r in ker.basis]
+    assert unpredicted["witness"] is None
+
+
+def test_predicted_kernels_are_distinct():
+    # ``classify`` keys the predictions by kernel basis
+    for p in (2, 3, 5):
+        for k in range(1, 4):
+            for n in range(3, 13):
+                bases = [kernel(pr.cover).basis for pr in predict_liftable(p, k, n)]
+                assert len(set(bases)) == len(bases), (p, k, n)

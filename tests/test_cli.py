@@ -289,6 +289,19 @@ def test_empty_grid_exits_2(tmp_path, capsys, command, grid):
     assert not atlas.exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "audit"])
+def test_repeated_grid_point_exits_2(tmp_path, capsys, command):
+    # a repeated point would be reported, and its atlas written, twice
+    atlas = tmp_path / "atlas"
+    args = [command, "--grid", "2,1,3;2,1,4;2,1,3"]
+    if command == "verify":
+        args += ["--output", str(atlas)]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and out == ""
+    assert "the grid repeats the point 2,1,3" in json.loads(err)["error"]
+    assert not atlas.exists()
+
+
 def test_audit_two_points_points_to_classify(capsys):
     code, out, err = run_cli(capsys, "audit", "--p", "2", "--k", "1", "--n", "2")
     assert code == 2 and out == ""
@@ -323,6 +336,16 @@ def test_audit_rejects_partial_point(capsys):
         assert code == 2
         assert out == ""
         assert "--n" in json.loads(err)["error"]
+
+
+def test_audit_rejects_point_with_grid(capsys):
+    # given both, the grid would otherwise be ignored without a word
+    code, out, err = run_cli(
+        capsys, "audit", "--p", "2", "--k", "1", "--n", "3", "--grid", "2,2,5;3,1,4",
+    )
+    assert code == 2 and out == ""
+    message = json.loads(err)["error"]
+    assert "--grid" in message and "--n" in message
 
 
 def test_missing_args(capsys):
