@@ -683,8 +683,11 @@ class TwoPointReport:
         return all(self.liftable)
 
 
-def classify_two_points(p: int, k: int) -> TwoPointReport:
-    ctx = ModulusContext(p, k)
+def classify_two_points(p: int, k: int, *, bound: int = DEFAULT_BOUND) -> TwoPointReport:
+    """The census at n = 2, over the ambient group Z/p^k.  Its input is
+    checked as ``check_point`` checks a point with n >= 3: the bound
+    first (BoundExceededError when p^k exceeds ``bound``), then the ring."""
+    ctx = _checked_ring(p, k, 1, bound)
     chains = [span(ctx, 1, [[p ** e]]) for e in range(k)] + [span(ctx, 1, [])]
     flags = tuple(fully_liftable(sub).liftable for sub in chains)
     pk = p ** k

@@ -238,7 +238,9 @@ def _grid_from_args(args) -> list[tuple[int, int, int]]:
 def cmd_classify(args) -> int:
     strict = not args.lax
     if args.n == 2:
-        rep = classify_two_points(args.p, args.k)
+        if args.output:
+            raise ValueError("classify --n 2 writes no atlas")
+        rep = classify_two_points(args.p, args.k, bound=args.bound)
         payload = {
             "p": rep.p,
             "k": rep.k,

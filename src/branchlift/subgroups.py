@@ -176,7 +176,34 @@ def _swap_columns(ctx: ModulusContext, basis: Matrix, c: int) -> Matrix:
 
     Write S for the span, S' for its image under the swap, and split the
     basis by pivot column into A (left of c), B (at c or c+1) and C (right
-    of c+1).  Only B is eliminated again, and only on columns c and c+1:
+    of c+1).
+
+    When no row pivots at c, or the row pivoting at c is zero at c+1, the
+    swap is a relabelling: the two entries trade places in every row, and
+    when rows pivot at both c and c+1 those two rows trade places too.
+
+    * Echelon form and pivot entries.  A row of A keeps its pivot, C is
+      zero at c and c+1, and a row of B is zero at the other column of
+      the two, so after the swap it pivots there with the same entry, a
+      power of p; with the rows of B exchanged the pivots ascend again.
+    * Reduction above each pivot.  An entry lands on a new pivot column
+      only from the old pivot column of the same pivot row, so it is
+      already below that pivot; the other pivot columns keep their
+      entries.
+    * Closure under annihilator multiples, in the form of the Howell
+      property: the elements vanishing left of a column j are spanned by
+      the rows pivoting at or right of j.  For j != c+1 the set "vanishes
+      left of j" is fixed by the swap, and so is the set of rows pivoting
+      at or right of j.  For j = c+1 the elements of S' vanishing left of
+      c+1 are the images of the elements of S vanishing left of c and at
+      c+1.  Such an element is a combination of B and C, and as the row
+      of B pivoting at c is zero at c+1, the row pivoting at c+1, if any,
+      enters it only as a multiple vanishing at c+1, which lies in the
+      span of C.  So it is spanned by the rows that pivot at or right of
+      c+1 after the swap: the old pivot row at c, if any, and C.
+
+    Otherwise the row pivoting at c is nonzero at c+1, and only B is
+    eliminated again, and only on columns c and c+1:
 
     * C stays as it is.  By the Howell property C spans the elements of
       S vanishing on columns 0..c+1.  The swap maps that set onto the
@@ -207,22 +234,27 @@ def _swap_columns(ctx: ModulusContext, basis: Matrix, c: int) -> Matrix:
     C; the rows of A nonzero at c or c+1 are reduced in ascending column
     order against the new pivots and those of C.  Each subtraction
     changes entries right of its pivot column only, which leaves every
-    entry reduced earlier as it was.  The Howell basis of a span is
-    unique, so the result is ``howell_reduce`` of the swapped rows.
+    entry reduced earlier as it was.
+
+    In both cases the Howell basis of a span is unique, so the result is
+    ``howell_reduce`` of the swapped rows.
     """
     p, k, n = ctx.p, ctx.k, ctx.modulus
     d = c + 1
     lo = 0
     while lo < len(basis) and any(basis[lo][:c]):
         lo += 1
-    hi = lo
-    while hi < len(basis) and (basis[hi][c] or basis[hi][d]):
+    at_c = lo < len(basis) and basis[lo][c]
+    if not (at_c and basis[lo][d]):
+        rows = [r if not (r[c] or r[d]) else (*r[:c], r[d], r[c], *r[d + 1:])
+                for r in basis]
+        if at_c and lo + 1 < len(basis) and basis[lo + 1][d]:
+            rows[lo], rows[lo + 1] = rows[lo + 1], rows[lo]
+        return tuple(rows)
+    hi = lo + 1
+    while hi < len(basis) and basis[hi][d]:
         hi += 1
     tail = basis[hi:]
-    if hi == lo:
-        # No pivot at c or c+1: nothing to eliminate or reduce.
-        return (*(r if not (r[c] or r[d]) else (*r[:c], r[d], r[c], *r[d + 1:])
-                  for r in basis[:lo]), *tail)
     pivots = _pivots(tail)
     pool = [[*r[:c], r[d], r[c], *r[d + 1:]] for r in basis[lo:hi]]
     placed = [tuple(_reduce_above(r, pivots, n))

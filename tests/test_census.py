@@ -36,7 +36,7 @@ from branchlift import (
     verify_classification,
     write_atlas,
 )
-from branchlift import action, census
+from branchlift import action, census, subgroups
 from branchlift.census import atlas_filename
 from branchlift.subgroups import _swap_columns
 from conftest import ACCEPTANCE_GRID, ENUMERATED_GROUPS, all_perms, subgroup_count
@@ -179,6 +179,38 @@ def test_lifted_swaps_act_as_transpositions(p, k, b):
             swapped = _swap_columns(ctx, lifted, c)
             assert census._unlift(swapped) == moved
             assert swapped == census._lift(ctx, b, moved)
+
+
+def test_swaps_eliminate_only_when_the_pivot_row_at_c_meets_c_plus_1(monkeypatch):
+    # The rule restated from the pivot columns: a swap at c, c+1 runs the
+    # elimination exactly when a row pivots at c and is nonzero at c+1;
+    # every other swap is a relabelling.
+    def eliminates(basis, c):
+        leads = [next(j for j, x in enumerate(r) if x) for r in basis]
+        return c in leads and basis[leads.index(c)][c + 1] != 0
+
+    calls = []
+    real_columns = subgroups._howell_columns
+
+    def counting_columns(*args):
+        calls.append(args)
+        return real_columns(*args)
+
+    expected, counted = [], []
+    real_swap = census._swap_columns
+
+    def counting_swap(ctx, basis, c):
+        expected.append(eliminates(basis, c))
+        before = len(calls)
+        moved = real_swap(ctx, basis, c)
+        counted.append(len(calls) - before)
+        return moved
+
+    monkeypatch.setattr(subgroups, "_howell_columns", counting_columns)
+    monkeypatch.setattr(census, "_swap_columns", counting_swap)
+    classify(2, 2, 5)
+    assert counted == expected
+    assert (len(expected), sum(counted)) == (2023, 596)
 
 
 def _partitions(n, largest=None):
@@ -488,6 +520,9 @@ def test_classify_two_points():
     rep3 = classify_two_points(3, 1)
     assert rep3.all_liftable
     assert kernel(rep3.cover, strict=True) is not None
+    assert classify_two_points(2, 2, bound=4).all_liftable
+    with pytest.raises(BoundExceededError):
+        classify_two_points(2, 2, bound=3)
 
 
 def test_report_json_shape(census_cache):

@@ -184,6 +184,26 @@ def test_classify_n2(capsys):
     assert code == 0 and "all liftable: True" in out
 
 
+@pytest.mark.parametrize("k,bound,code", [(1, 1, 3), (1, 2, 0), (2, 3, 3), (2, 4, 0)])
+def test_classify_n2_applies_the_bound_to_p_to_the_k(capsys, k, bound, code):
+    got, out, err = run_cli(
+        capsys, "classify", "--p", "2", "--k", str(k), "--n", "2", "--bound", str(bound),
+    )
+    assert got == code
+    assert ("all liftable: True" in out) == (code == 0)
+    assert ("exceeds the bound" in err) == (code == 3)
+
+
+def test_classify_n2_refuses_output(tmp_path, capsys):
+    out_dir = tmp_path / "n2"
+    code, out, err = run_cli(
+        capsys, "classify", "--p", "2", "--k", "1", "--n", "2", "--output", str(out_dir),
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "classify --n 2 writes no atlas"
+    assert not out_dir.exists()
+
+
 def test_classify_writes_atlas(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BRANCHLIFT_OUTPUT_DIR", str(tmp_path))
     code, out, err = run_cli(

@@ -154,6 +154,45 @@ def test_swap_columns_matches_full_reduction(seed):
             assert _swap_columns(ctx, basis, c) == howell_reduce(ctx, width, swapped)
 
 
+# Spanning rows over Z/p^2 in (Z/p^2)^4, swapped at columns 1 and 2, for
+# each case of the swap: the pivot columns among 1 and 2 of the Howell
+# basis and whether the result is the plain relabelling, which it is
+# unless the pivot row at column 1 is nonzero at column 2.  Each case has a row
+# pivoting at column 0 with entries at columns 1 and 2, so the rows above
+# the swapped pair are moved too.
+SWAP_CASES = {
+    "no pivot at c": (lambda p: [[1, 1, 2, 3], [0, 0, 0, p]], (), True),
+    "pivot at c+1 only": (lambda p: [[1, 1, 2, 3], [0, 0, p, 1]], (2,), True),
+    "pivot at c zero at c+1": (lambda p: [[1, 2, 1, 3], [0, p, 0, 1]], (1,), True),
+    "both pivots, zero at c+1": (
+        lambda p: [[1, 0, 1, 1], [0, 1, 0, 2], [0, 0, p, 1]], (1, 2), True),
+    "pivot at c nonzero at c+1": (lambda p: [[1, 2, 3, 1], [0, 1, p, 1]], (1,), False),
+}
+
+
+@pytest.mark.parametrize("case", SWAP_CASES)
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_swap_columns_cases(p, case):
+    rows, pivot_cols, relabels = SWAP_CASES[case]
+    ctx = ModulusContext(p, 2)
+    c = 1
+    basis = howell_reduce(ctx, 4, rows(p))
+    leads = [next(j for j, x in enumerate(r) if x) for r in basis]
+    assert tuple(j for j in leads if j in (c, c + 1)) == pivot_cols
+    assert any(r[c] or r[c + 1] for r, j in zip(basis, leads) if j < c)
+    if c in leads:
+        assert (basis[leads.index(c)][c + 1] == 0) == relabels
+    swapped = [(*r[:c], r[c + 1], r[c], *r[c + 2:]) for r in basis]
+    result = _swap_columns(ctx, basis, c)
+    assert result == howell_reduce(ctx, 4, swapped)
+    # The relabelling: swapped rows, the two pivot rows at c and c+1
+    # exchanged when there are both.
+    if pivot_cols == (c, c + 1):
+        i = leads.index(c)
+        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+    assert (result == tuple(swapped)) == relabels
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     data=st.data(),
