@@ -23,9 +23,9 @@ from .modular import Matrix, ModulusContext, Perm, Vector, json_int
 from .subgroups import (
     CanonicalForm,
     Subgroup,
+    _howell_columns,
     _pivots,
     _reduce_above,
-    howell_reduce,
     order,
     span,
 )
@@ -149,13 +149,17 @@ def validate(spec: CoverSpec, strict: bool = True) -> list[str]:
     that no marked point has a vanishing image, which would mean the cover
     is not actually branched there.
     """
+    generated = span(spec.ctx, len(spec.factor_orders), _embedded_rows(spec, spec.images))
+    return _failure_codes(spec, strict, order(generated))
+
+
+def _failure_codes(spec: CoverSpec, strict: bool, image_order: int) -> list[str]:
+    """``validate``'s codes, given the order of the subgroup of the deck
+    group that the images generate."""
     codes = [] if _sums_to_zero(spec) else [NOT_SUM_ZERO]
     if spec.factor_orders[-1] != spec.p ** spec.k:
         codes.append(WRONG_EXPONENT)
-    ctx = spec.ctx
-    t = len(spec.factor_orders)
-    generated = span(ctx, t, _embedded_rows(spec, spec.images))
-    if order(generated) != deck_group_order(spec):
+    if image_order != deck_group_order(spec):
         codes.append(NOT_SURJECTIVE)
     if strict and any(not any(row) for row in spec.images):
         codes.append(ZERO_BRANCH_IMAGE)
@@ -168,43 +172,59 @@ def require_valid(spec: CoverSpec, strict: bool = True) -> None:
         raise CoverValidationError(codes)
 
 
-def _graph_basis(spec: CoverSpec) -> Matrix:
-    """Howell basis of the graph of the map on homology.
-
-    Row i is the embedded image of loop i followed by the i-th unit vector
-    of length n-1, for the first n-1 loops, so the rows span the pairs
-    (image of x | x) over all x in (Z/p^k)^(n-1).
-    """
-    b = spec.n - 1
-    rows = [
-        row + [1 if j == i else 0 for j in range(b)]
-        for i, row in enumerate(_embedded_rows(spec, spec.images[:b]))
-    ]
-    return howell_reduce(spec.ctx, len(spec.factor_orders) + b, rows)
-
-
 def kernel(spec: CoverSpec, strict: bool = True) -> Subgroup:
     """Kernel of the induced map on mod-p^k homology, as a subgroup of
-    (Z/p^k)^(n-1).
+    (Z/p^k)^(n-1); raises ``CoverValidationError`` with ``validate``'s
+    codes for an invalid cover.
 
-    The graph span holds (0 | x) exactly for x in the kernel.  By the
-    Howell property, the graph basis rows that pivot at or past column t,
-    which are the rows vanishing on the t deck-group columns, span every
-    such element.  Their trailing parts keep p-power pivots, reduced
-    entries above each pivot and zeros left of it, and for each column j
-    the rows pivoting at or past t + j still span the graph elements, and
-    so the kernel elements, that vanish before it.  They are therefore
-    the unique Howell basis of the kernel and need no second reduction.
+    The graph rows (embedded image of loop i | e_i), for the first
+    b = n-1 loops, span the pairs (image of x | x) over all x in
+    (Z/p^k)^b, so the graph has p^(kb) elements and holds (0 | x) exactly
+    for x in the kernel.  ``_split_graph`` runs one ``_howell_columns``
+    elimination of the graph rows, split at the deck columns: first over
+    the t deck columns, which places the deck pivot rows, then over the b
+    homology columns of the rows left in the pool, cut to those columns.
+
+    * The kernel rows are those of a full reduction over all t + b
+      columns, which at the split holds the same deck rows and pool.
+      Every later pivot step there takes its pivot row from the pool and
+      changes only the pool and the rows already placed; what it does to
+      the deck rows feeds back into neither.  The pool rows vanish on the
+      deck columns, so cutting them first changes nothing.  The rows of
+      that full Howell basis vanishing on the deck columns, cut to their
+      trailing part, keep p-power pivots, reduced entries above each
+      pivot and zeros left of it, and for each column j the rows pivoting
+      at or past t + j span the kernel elements that vanish before it.
+      So they are the Howell basis of the kernel.
+    * Later steps change a deck row only by pool rows, which vanish on the
+      deck columns, so the deck pivots are those of the full reduction.
+      The deck rows cut to the deck columns are therefore the Howell basis
+      of the subgroup the first b images generate, whose order is the
+      product of p^k over each pivot entry.
+    * When the images sum to zero, the last image is minus the sum of the
+      first b, so the first b generate what all n generate.  So if the
+      images sum to zero, the top factor is p^k, no image is zero when
+      ``strict``, and that order equals the deck order, ``validate``
+      finds no failure; if any of these fails, so does ``validate``, and
+      ``require_valid`` raises its codes.
     """
-    require_valid(spec, strict)
-    return _graph_kernel(spec, _graph_basis(spec))
+    return _split_graph(spec, strict)[1]
 
 
-def _graph_kernel(spec: CoverSpec, graph: Matrix) -> Subgroup:
-    """The kernel read off the graph basis, as ``kernel`` explains."""
-    t = len(spec.factor_orders)
-    rows = tuple(row[t:] for row in graph if not any(row[:t]))
-    return Subgroup(spec.ctx, spec.n - 1, rows)
+def _split_graph(spec: CoverSpec, strict: bool) -> tuple[list[list[int]], Subgroup]:
+    """The deck pivot rows of the graph and the kernel, as ``kernel``
+    explains; the cover is validated between the two elimination steps."""
+    ctx = spec.ctx
+    p, k, n = ctx.p, ctx.k, ctx.modulus
+    t, b = len(spec.factor_orders), spec.n - 1
+    graph = [row + [int(j == i) for j in range(b)]
+             for i, row in enumerate(_embedded_rows(spec, spec.images[:b]))]
+    deck, rest = _howell_columns(graph, range(t), p, k, n)
+    image_order = math.prod(n // next(filter(None, row)) for row in deck)
+    if _failure_codes(spec, strict, image_order):
+        require_valid(spec, strict)
+    basis, _ = _howell_columns([r[t:] for r in rest], range(b), p, k, n)
+    return deck, Subgroup(ctx, b, tuple(tuple(r) for r in basis))
 
 
 def apply_cover_map(spec: CoverSpec, vec: Vector) -> Vector:
@@ -296,33 +316,32 @@ def induced_deck_automorphism(spec: CoverSpec, alpha: Perm,
     When alpha preserves the kernel there is a unique automorphism of the
     deck group compatible with alpha on loop images; it is returned as one
     row per standard generator of the deck group.  Otherwise None.  The
-    kernel and the preimages are both read off one graph basis.
+    kernel and the preimages both come from the one graph elimination of
+    ``kernel``.
 
     Whether alpha preserves the kernel is ``invariant_under``: membership
     of the moved kernel basis rows, with no image computed.
 
-    A pivot past the deck columns belongs to a row (0 | y) with y in the
-    kernel, so reducing past one that does not divide changes a preimage
-    only by kernel elements, which alpha preserves and the cover map kills.
+    The deck rows cut to the deck columns are a Howell basis of the image,
+    which is the whole deck group once the cover is valid, so reducing
+    (generator | 0) against their pivots clears the deck columns.  The
+    preimage it leaves is not reduced against the kernel rows: it differs
+    from any other preimage by a kernel element, which alpha preserves and
+    the cover map kills.
     """
-    require_valid(spec, strict)
-    graph = _graph_basis(spec)
-    ker = _graph_kernel(spec, graph)
+    deck, ker = _split_graph(spec, strict)
     if not invariant_under(ker, alpha):
         return None
     n = spec.ctx.modulus
     b = spec.n - 1
     t = len(spec.factor_orders)
-    pivots = _pivots(graph)
+    pivots = _pivots(deck)
     rows = []
     for j, q in enumerate(spec.factor_orders):
         # Reducing (generator | 0) leaves (0 | -x) for a preimage x.
         target = [0] * (t + b)
         target[j] = n // q
-        left = _reduce_above(target, pivots, n)
-        if any(left[:t]):
-            raise CoverValidationError([NOT_SURJECTIVE], "generator has no preimage")
-        sol = [-x for x in left[t:]]
+        sol = [-x for x in _reduce_above(target, pivots, n)[t:]]
         rows.append(apply_cover_map(spec, tuple(_moved_row(alpha.images, sol))))
     return tuple(rows)
 

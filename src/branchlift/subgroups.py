@@ -101,10 +101,11 @@ def _pivot_step(pool: list[list[int]], placed: list[list[int]], idx: int, col: i
 
 
 def _howell_columns(pool: list[list[int]], cols: Iterable[int], p: int, k: int,
-                    n: int) -> list[list[int]]:
+                    n: int) -> tuple[list[list[int]], list[list[int]]]:
     """Howell elimination of the rows in ``pool`` over the columns ``cols``,
-    in order; returns the pivot rows, one per column that has one, and
-    consumes ``pool``.
+    in order; returns ``(basis, rest)``: the pivot rows, one per column
+    that has one, and the pool left after the last column.  Consumes
+    ``pool``.
 
     Each column places the first pool entry of minimal valuation in it
     with ``_pivot_step``.  Its shadow vanishes on this column and every
@@ -112,7 +113,8 @@ def _howell_columns(pool: list[list[int]], cols: Iterable[int], p: int, k: int,
     ``cols``.  A placed row changes afterwards only by later pivot rows,
     which vanish on every earlier pivot column, so each entry reduced
     above a pivot stays reduced: the result is the one a separate
-    above-pivot pass after the elimination would give.
+    above-pivot pass after the elimination would give.  The pivot rows and
+    ``rest`` together span what ``pool`` spanned.
     """
     basis: list[list[int]] = []
     for col in cols:
@@ -128,12 +130,13 @@ def _howell_columns(pool: list[list[int]], cols: Iterable[int], p: int, k: int,
                         break
         if best >= 0:
             pool = _pivot_step(pool, basis, best, col, best_v, p, k, n)
-    return basis
+    return basis, pool
 
 
 def howell_reduce(ctx: ModulusContext, width: int, rows: Iterable[Sequence[int]]) -> Matrix:
     """Unique reduced basis for the row span of ``rows`` over Z/p^k: the
-    ``_howell_columns`` elimination over every column."""
+    ``_howell_columns`` elimination over every column, which leaves an
+    empty pool."""
     p, k, n = ctx.p, ctx.k, ctx.modulus
     pool = []
     for row in rows:
@@ -142,7 +145,8 @@ def howell_reduce(ctx: ModulusContext, width: int, rows: Iterable[Sequence[int]]
         r = [x % n for x in row]
         if any(r):
             pool.append(r)
-    return tuple(tuple(r) for r in _howell_columns(pool, range(width), p, k, n))
+    basis, _ = _howell_columns(pool, range(width), p, k, n)
+    return tuple(tuple(r) for r in basis)
 
 
 def _reduce_above(row: Sequence[int], pivots: Iterable[tuple[int, int, Sequence[int]]],
@@ -257,8 +261,8 @@ def _swap_columns(ctx: ModulusContext, basis: Matrix, c: int) -> Matrix:
     tail = basis[hi:]
     pivots = _pivots(tail)
     pool = [[*r[:c], r[d], r[c], *r[d + 1:]] for r in basis[lo:hi]]
-    placed = [tuple(_reduce_above(r, pivots, n))
-              for r in _howell_columns(pool, (c, d), p, k, n)]
+    new_pivots, _ = _howell_columns(pool, (c, d), p, k, n)
+    placed = [tuple(_reduce_above(r, pivots, n)) for r in new_pivots]
     pivots[:0] = _pivots(placed)
     head = [
         tuple(_reduce_above([*r[:c], r[d], r[c], *r[d + 1:]], pivots, n))

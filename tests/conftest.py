@@ -10,7 +10,7 @@ from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from branchlift import Matrix, ModulusContext, Perm, classify
+from branchlift import Matrix, ModulusContext, Perm, classify, howell_reduce
 
 
 def brute_span(ctx: ModulusContext, width: int, rows) -> frozenset:
@@ -81,6 +81,23 @@ def subgroup_count(p: int, k: int, b: int) -> int:
             )
         total += term
     return total
+
+
+def graph_kernel_reference(spec) -> Matrix:
+    """Howell basis of a valid cover's kernel, read off one full reduction
+    of its graph rows (embedded image of loop i | e_i) over all t + n-1
+    columns: the basis rows vanishing on the t deck columns, cut to the
+    rest.  ``covers.kernel`` splits that reduction at the deck columns;
+    this is the unsplit reading it is checked against."""
+    ctx = spec.ctx
+    n, t, b = ctx.modulus, len(spec.factor_orders), spec.n - 1
+    rows = [
+        [(x * (n // q)) % n for x, q in zip(image, spec.factor_orders)]
+        + [int(j == i) for j in range(b)]
+        for i, image in enumerate(spec.images[:b])
+    ]
+    graph = howell_reduce(ctx, t + b, rows)
+    return tuple(row[t:] for row in graph if not any(row[:t]))
 
 
 def identity_matrix(n: int) -> Matrix:

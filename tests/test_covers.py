@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -36,7 +37,12 @@ from branchlift import (
 )
 from branchlift.census import _identity_bases
 from branchlift.subgroups import _pivots
-from conftest import ENUMERATED_GROUPS, all_perms, inv_unitriangular_int
+from conftest import (
+    ENUMERATED_GROUPS,
+    all_perms,
+    graph_kernel_reference,
+    inv_unitriangular_int,
+)
 
 Z4 = ModulusContext(2, 2)
 Z3 = ModulusContext(3, 1)
@@ -103,29 +109,30 @@ def test_kernel_all_ones():
     assert equal(ker, span(Z3, 2, [(1, 2)]))
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        pytest.param(MIXED_224, id="mixed_224"),
-        pytest.param(ALL_ONES_3, id="all_ones_3"),
-        pytest.param(CoverSpec(3, 2, 4, (3, 9), ((1, 1), (0, 3), (1, 2), (1, 3))), id="p3_mixed"),
-        pytest.param(CoverSpec(5, 1, 4, (5, 5), ((1, 0), (0, 1), (2, 3), (2, 1))), id="p5_rank2"),
-        # second pivot of the first two images is 10 = 5 * unit in Z/25
-        pytest.param(CoverSpec(5, 2, 3, (5, 25), ((1, 1), (2, 5), (2, 19))), id="p5_nonunit_pivot"),
-        pytest.param(
-            CoverSpec(2, 2, 5, (2, 2, 4), ((1, 0, 1), (0, 1, 1), (1, 1, 2), (0, 0, 3), (0, 0, 1))),
-            id="p2_three_factors",
-        ),
-        pytest.param(
-            CoverSpec(3, 2, 4, (3, 3, 9), ((1, 0, 1), (0, 1, 2), (1, 1, 4), (1, 1, 2))),
-            id="p3_three_factors",
-        ),
-        pytest.param(
-            CoverSpec(2, 3, 4, (2, 4, 8), ((1, 0, 1), (0, 1, 2), (1, 1, 4), (0, 2, 1))),
-            id="k3_three_orders",
-        ),
-    ],
-)
+#: Covers with a non-unit deck pivot, three factors or k = 3.
+KERNEL_SPECS = [
+    pytest.param(MIXED_224, id="mixed_224"),
+    pytest.param(ALL_ONES_3, id="all_ones_3"),
+    pytest.param(CoverSpec(3, 2, 4, (3, 9), ((1, 1), (0, 3), (1, 2), (1, 3))), id="p3_mixed"),
+    pytest.param(CoverSpec(5, 1, 4, (5, 5), ((1, 0), (0, 1), (2, 3), (2, 1))), id="p5_rank2"),
+    # second pivot of the first two images is 10 = 5 * unit in Z/25
+    pytest.param(CoverSpec(5, 2, 3, (5, 25), ((1, 1), (2, 5), (2, 19))), id="p5_nonunit_pivot"),
+    pytest.param(
+        CoverSpec(2, 2, 5, (2, 2, 4), ((1, 0, 1), (0, 1, 1), (1, 1, 2), (0, 0, 3), (0, 0, 1))),
+        id="p2_three_factors",
+    ),
+    pytest.param(
+        CoverSpec(3, 2, 4, (3, 3, 9), ((1, 0, 1), (0, 1, 2), (1, 1, 4), (1, 1, 2))),
+        id="p3_three_factors",
+    ),
+    pytest.param(
+        CoverSpec(2, 3, 4, (2, 4, 8), ((1, 0, 1), (0, 1, 2), (1, 1, 4), (0, 2, 1))),
+        id="k3_three_orders",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS)
 def test_kernel_against_enumeration(spec):
     assert validate(spec) == []
     pk, b = spec.p**spec.k, spec.n - 1
@@ -134,8 +141,51 @@ def test_kernel_against_enumeration(spec):
     ker = kernel(spec)
     assert set(elements(ker)) == brute
     assert order(ker) * deck_group_order(spec) == pk**b
-    # The kernel is read off the graph basis without a second reduction.
+    # The basis comes out Howell-reduced: reducing it again changes nothing.
     assert howell_reduce(ker.ctx, ker.width, ker.basis) == ker.basis
+
+
+def _oracle_spec(rng):
+    """A random cover with p in {2, 3, 5}, k <= 3 and 2 <= n <= 8, often
+    broken on purpose: a wrong top factor, images that sum to nonzero,
+    images scaled by p (so rarely onto), or a zero image."""
+    p, k, n = rng.choice((2, 3, 5)), rng.randint(1, 3), rng.randint(2, 8)
+    exps = sorted(rng.randint(1, k) for _ in range(rng.randint(1, 3)))
+    if rng.random() < 0.8:
+        exps[-1] = k
+    factors = tuple(p**e for e in exps)
+    scale = p if rng.random() < 0.15 else 1
+    rows = [[scale * rng.randrange(q) for q in factors] for _ in range(n - 1)]
+    if rng.random() < 0.15:
+        rows[rng.randrange(n - 1)] = [0] * len(factors)
+    if rng.random() < 0.15:
+        rows.append([rng.randrange(q) for q in factors])
+    else:
+        rows.append([-sum(r[j] for r in rows) for j in range(len(factors))])
+    return CoverSpec(p, k, n, factors, tuple(map(tuple, rows)))
+
+
+def test_kernel_against_full_graph_reduction():
+    # kernel validates off its split elimination and must raise exactly
+    # validate's codes; on a valid cover it must give the basis that one
+    # full reduction of the graph gives.
+    rng = random.Random(19)
+    seen = Counter()
+    for _ in range(2000):
+        spec = _oracle_spec(rng)
+        for strict in (True, False):
+            codes = validate(spec, strict)
+            if codes:
+                with pytest.raises(CoverValidationError) as err:
+                    kernel(spec, strict)
+                assert err.value.codes == codes, (spec, strict)
+            else:
+                assert kernel(spec, strict).basis == graph_kernel_reference(spec), spec
+            seen.update(codes or ["valid"])
+    assert set(seen) == {
+        "valid", "NotSumZero", "WrongExponent", "NotSurjective", "ZeroBranchImage",
+    }
+    assert min(seen.values()) >= 100, seen
 
 
 def test_first_isomorphism_for_predictions():
@@ -389,16 +439,41 @@ def test_induced_automorphism_negation_two_points():
     assert psi == ((2,),)  # the map a -> -a on Z/3
 
 
-def test_induced_automorphism_defining_property():
+def _assert_induced(spec, alpha, psi):
+    """psi sends the image of each loop class x to the image of alpha(x),
+    and the images of the generators span the deck group."""
     from branchlift.action import action_matrix
 
+    b = spec.n - 1
+    n_mod = spec.p**spec.k
+    tmat = action_matrix(alpha)
+    for i in range(b):
+        basis_vec = tuple(1 if j == i else 0 for j in range(b))
+        moved = tuple(
+            sum(basis_vec[r] * tmat[r][c] for r in range(b)) % n_mod
+            for c in range(b)
+        )
+        lhs_input = apply_cover_map(spec, basis_vec)
+        lhs = tuple(
+            sum(lhs_input[t] * psi[t][j] for t in range(len(psi))) % q
+            for j, q in enumerate(spec.factor_orders)
+        )
+        rhs = apply_cover_map(spec, moved)
+        assert lhs == rhs
+    # bijective: the images of the generators span the deck group
+    ctx = spec.ctx
+    t = len(spec.factor_orders)
+    scales = [ctx.modulus // q for q in spec.factor_orders]
+    emb = [[(x * s) % ctx.modulus for x, s in zip(row, scales)] for row in psi]
+    assert order(span(ctx, t, emb)) == deck_group_order(spec)
+
+
+def test_induced_automorphism_defining_property():
     three_factors = CoverSpec(
         2, 2, 4, (2, 2, 4), ((1, 0, 1), (0, 1, 1), (0, 0, 1), (1, 1, 1))
     )
     specs = [ALL_ONES_3, MIXED_224, case1_spec(2, 2, 4), three_factors]
     for spec in specs:
-        b = spec.n - 1
-        n_mod = spec.p**spec.k
         ker = kernel(spec)
         for alpha in all_perms(spec.n):
             psi = induced_deck_automorphism(spec, alpha)
@@ -406,26 +481,21 @@ def test_induced_automorphism_defining_property():
                 assert psi is None
                 continue
             assert psi is not None
-            tmat = action_matrix(alpha)
-            for i in range(b):
-                basis_vec = tuple(1 if j == i else 0 for j in range(b))
-                moved = tuple(
-                    sum(basis_vec[r] * tmat[r][c] for r in range(b)) % n_mod
-                    for c in range(b)
-                )
-                lhs_input = apply_cover_map(spec, basis_vec)
-                lhs = tuple(
-                    sum(lhs_input[t] * psi[t][j] for t in range(len(psi))) % q
-                    for j, q in enumerate(spec.factor_orders)
-                )
-                rhs = apply_cover_map(spec, moved)
-                assert lhs == rhs
-            # bijective: the images of the generators span the deck group
-            ctx = spec.ctx
-            t = len(spec.factor_orders)
-            scales = [ctx.modulus // q for q in spec.factor_orders]
-            emb = [[(x * s) % ctx.modulus for x, s in zip(row, scales)] for row in psi]
-            assert order(span(ctx, t, emb)) == deck_group_order(spec)
+            _assert_induced(spec, alpha, psi)
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS)
+def test_induced_automorphism_on_fixed_kernels(spec):
+    # The preimages are left unreduced against the kernel rows, which a
+    # non-unit deck pivot, three factors or k = 3 exercise; the verdict
+    # must still agree with act and the automorphism be the induced one.
+    ker = kernel(spec)
+    for alpha in all_perms(spec.n):
+        psi = induced_deck_automorphism(spec, alpha)
+        invariant = equal(act(alpha, ker), ker)
+        assert (psi is not None) == invariant, alpha
+        if invariant:
+            _assert_induced(spec, alpha, psi)
 
 
 def test_induced_automorphism_bijective_iff_invariant():
