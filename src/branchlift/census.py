@@ -12,10 +12,12 @@ compares the liftable classes against a closed-form prediction:
 
 The census and ``enumerate_subgroups`` share one walk: the orbits of the
 point permutations S_n on the subgroups of (Z/p^k)^b, b = n - 1, each
-found once by one seed loop (``_orbits``) and walked over the lifts of
-the subgroups (``_lift``), where the transpositions (n 1), (1 2), ...,
-(b-1 b) that generate S_n are adjacent column swaps (``_orbit``).  A
-class is fully liftable exactly when its orbit is a single subgroup.
+found once by one seed loop (``_orbits``) and walked over the
+subgroups' own Howell bases (``_orbit``).  The transpositions (1 2), ...,
+(b-1 b) that generate S_n with (n 1) are adjacent column swaps there;
+only (n 1) moves point n, and it is a column swap of the lift of the
+subgroup (``_lift``).  A class is fully liftable exactly when its orbit
+is a single subgroup.
 """
 
 from __future__ import annotations
@@ -209,34 +211,40 @@ def _check_drained(pending: set[Matrix]) -> None:
         )
 
 
-def _follow(table: list[list[int | None]], x: int, word: Sequence[int]) -> int | None:
-    """The end of the path from ``x`` along the swaps in ``word``, or None
-    when the table does not know one of its edges yet."""
-    for letter in word:
-        x = table[x][letter]
-        if x is None:
-            return None
-    return x
-
-
-def _orbit(ctx: ModulusContext, seed: Matrix) -> Iterator[Matrix]:
-    """The orbit of the Howell basis ``seed`` under the adjacent column
-    swaps, walked lazily.
+def _orbit(ctx: ModulusContext, b: int, seed: Matrix,
+           pending: set[Matrix]) -> Iterator[Matrix]:
+    """The orbit of the subgroup of (Z/p^k)^b with Howell basis ``seed``
+    under the point permutations S_n, n = b + 1, walked lazily over the
+    subgroups' Howell bases.
 
     Yields the seed, then each new basis breadth first as soon as it is
-    found, each basis once.  The walk knows only its own orbit: skipping
-    seeds whose orbit was walked already is the caller's.
+    found, each basis once; each new basis of identity shape
+    (``_identity_shape``) is added to ``pending`` before it is yielded.
+    The walk knows only its own orbit: skipping seeds whose orbit was
+    walked already is the caller's.
+
+    The generators are (n 1), (1 2), ..., (b-1 b), numbered 0 to b - 1.
+    Generator i >= 1 fixes n, so it permutes the coordinates x_j - x_n of
+    (Z/p^k)^b: it swaps columns i - 1 and i of the subgroup's own basis.
+    Only generator 0 moves n.  On the lift (``_lift``), columns ordered
+    (n, 1, ..., b), it swaps columns 0 and 1, and the swapped lift is the
+    lift of the moved subgroup, whose basis ``_unlift`` reads off.  As
+    the lift commutes with the point permutations, this walk is the walk
+    over lifted bases that swaps columns i and i + 1 for generator i,
+    read through ``_unlift``, which is injective on lifts: the same
+    subgroups, found in the same order, with the same swaps.
 
     The walk keeps its Schreier graph: ``elems`` lists the bases in the
     order found, ``index`` numbers them, and ``table[x][i]`` is the number
-    of the swap at columns i, i + 1 applied to basis x, or None while
-    unknown.  Swap i is an involution, so an edge x -> y is recorded as
-    y -> x too.  Two swaps s_i, s_h satisfy (s_i s_h)^m = 1, with m = 3
-    when |i - h| = 1 (the braid relation of adjacent transpositions) and
-    m = 2 otherwise (disjoint transpositions commute).  Hence s_i equals
-    the word h, i, h, ..., h of 2m - 1 letters, and before swap i is
-    computed at x, each such word is followed from x through the table;
-    if every letter is known the word ends at s_i x.
+    of generator i applied to basis x, or None while unknown.  Generator
+    i is an involution, so an edge x -> y is recorded as y -> x too.  Two
+    generators s_i, s_h satisfy (s_i s_h)^m = 1, with m = 3 when
+    |i - h| = 1 (the braid relation of adjacent transpositions) and m = 2
+    otherwise (disjoint transpositions commute).  Hence s_i equals the
+    word h, i, h, ..., h of 2m - 1 letters, and before generator i is
+    computed at x, each such word is followed from x through the table
+    (a word whose first edge is unknown is skipped at once); if every
+    letter is known the word ends at s_i x.
 
     A deduced edge never hides a new basis.  A word can only end at a
     basis in the table, which is already indexed; and where it ends, the
@@ -244,15 +252,15 @@ def _orbit(ctx: ModulusContext, seed: Matrix) -> Iterator[Matrix]:
     completes and the swap is computed.  The bases found, and the order
     they are found in, are those of the walk that computes every edge.
     """
-    swaps = range(len(seed[0]) - 1)
+    swaps = range(b)
     words = [
-        [(h, i) * (2 if abs(i - h) == 1 else 1) + (h,) for h in swaps if h != i]
+        [(h, (i, h) * (2 if abs(i - h) == 1 else 1)) for h in swaps if h != i]
         for i in swaps
     ]
     yield seed
     elems = [seed]
     index = {seed: 0}
-    table: list[list[int | None]] = [[None] * len(swaps)]
+    table: list[list[int | None]] = [[None] * b]
     # ``elems`` grows as bases are found; reading it in order is the
     # breadth-first queue.
     for x, cur in enumerate(elems):
@@ -260,17 +268,29 @@ def _orbit(ctx: ModulusContext, seed: Matrix) -> Iterator[Matrix]:
         for i in swaps:
             if row[i] is not None:
                 continue
-            for word in words[i]:
-                y = _follow(table, x, word)
-                if y is not None:
+            y = None
+            for h, rest in words[i]:
+                y = row[h]
+                if y is None:
+                    continue
+                for letter in rest:
+                    y = table[y][letter]
+                    if y is None:
+                        break
+                else:
                     break
-            else:
-                moved = _swap_columns(ctx, cur, i)
+            if y is None:
+                if i:
+                    moved = _swap_columns(ctx, cur, i - 1)
+                else:
+                    moved = _unlift(_swap_columns(ctx, _lift(ctx, b, cur), 0))
                 y = index.get(moved)
                 if y is None:
                     y = index[moved] = len(elems)
                     elems.append(moved)
-                    table.append([None] * len(swaps))
+                    table.append([None] * b)
+                    if _identity_shape(moved):
+                        pending.add(moved)
                     yield moved
             row[i] = y
             table[y][i] = x
@@ -301,9 +321,10 @@ def _unlift(lifted: Matrix) -> Matrix:
 
 
 def _orbits(ctx: ModulusContext, b: int, max_rank: int) -> Iterator[Iterator[Matrix]]:
-    """The orbits under S_n, n = b + 1, of the lifts of the subgroups of
-    (Z/p^k)^b whose normal form has rank at most ``max_rank``, each once,
-    as a lazy walk that the caller exhausts before it asks for the next.
+    """The orbits under S_n, n = b + 1, of the subgroups of (Z/p^k)^b
+    whose normal form has rank at most ``max_rank``, each once, as a lazy
+    ``_orbit`` walk over their Howell bases that the caller exhausts
+    before it asks for the next.
 
     The seeds are the Howell bases of the forms with trivial column
     permutation (``_identity_bases``).  Their column permutations, the
@@ -311,35 +332,25 @@ def _orbits(ctx: ModulusContext, b: int, max_rank: int) -> Iterator[Iterator[Mat
     A point permutation is an automorphism of (Z/p^k)^b, so it keeps the
     quotient, a sum of b - r copies of Z/p^k and smaller cyclic groups at
     rank r, and with it the rank.  So every identity-shape member of an
-    orbit (``_identity_shape``; a lift has that shape exactly when its
-    subgroup does) is a seed.
+    orbit (``_identity_shape``) is a seed.
 
     The loop skips the seeds an earlier orbit reached, yet keeps only a
     set ``pending``: the identity-shape members other than the seed of
-    each orbit walked, each removed when its own turn as a seed comes, so
-    memory follows the largest orbit, not the subgroup count.  Each seed
-    comes once, and an orbit walked from seed s holds no seed t that comes
-    before s: by induction on the order, t either walked its own orbit,
-    which holds s, or was pending from an earlier orbit, which then is
-    s's orbit; either way s was skipped.  So ``pending`` is empty at the
-    end, which the loop checks, and the subgroups walked number the sum
-    of the orbit sizes.
+    each orbit walked, which ``_orbit`` adds as it finds them, each
+    removed when its own turn as a seed comes, so memory follows the
+    largest orbit, not the subgroup count.  Each seed comes once, and an
+    orbit walked from seed s holds no seed t that comes before s: by
+    induction on the order, t either walked its own orbit, which holds s,
+    or was pending from an earlier orbit, which then is s's orbit; either
+    way s was skipped.  So ``pending`` is empty at the end, which the loop
+    checks, and the subgroups walked number the sum of the orbit sizes.
     """
     pending: set[Matrix] = set()
-
-    def walk(seed: Matrix) -> Iterator[Matrix]:
-        orbit = _orbit(ctx, _lift(ctx, b, seed))
-        yield next(orbit)
-        for x in orbit:
-            if _identity_shape(x):
-                pending.add(_unlift(x))
-            yield x
-
     for seed in _identity_bases(ctx, b, max_rank):
         if seed in pending:
             pending.remove(seed)
             continue
-        yield walk(seed)
+        yield _orbit(ctx, b, seed, pending)
     _check_drained(pending)
 
 
@@ -355,7 +366,7 @@ def enumerate_subgroups(p: int, k: int, b: int,
     ctx = _checked_ring(p, k, b, bound)
     for orbit in _orbits(ctx, b, b):
         for x in orbit:
-            yield canonical_form(_trusted_subgroup(ctx, b, _unlift(x)))
+            yield canonical_form(_trusted_subgroup(ctx, b, x))
 
 
 @dataclass(frozen=True)
@@ -486,9 +497,7 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
     for walk in _orbits(ctx, b, b - 1):
         orbit = [*walk]
         seen += len(orbit)
-        # Lifted rows after the first are (0 | row), so ordering by them
-        # orders the subgroups' bases.
-        rep = _trusted_subgroup(ctx, b, _unlift(min(orbit, key=lambda x: x[1:])))
+        rep = _trusted_subgroup(ctx, b, min(orbit))
         pivots = _pivots(rep.basis)
         if strict and any(_member(v, pivots, ctx.modulus) for v in points):
             dropped += 1
@@ -559,7 +568,10 @@ def verify_classification(points: Sequence[tuple[int, int, int]], *,
     class, and a predicted kernel that is not among the liftable kernels
     is a missing prediction; the latter names the generator its kernel
     fails to be invariant under, or None when that kernel is invariant
-    after all.  The grid is checked before the first census
+    after all.  Each mismatch gives the ``size`` of the kernel's orbit
+    under the point permutations: the class size of an unpredicted
+    class, always 1 as it lifts, and for a missing prediction the length
+    of one ``_orbit`` walk from its kernel.  The grid is checked before the first census
     (``check_grid``), so an empty grid, one that repeats a point, or one
     with an invalid point runs no census and writes no atlas.
     """
@@ -577,6 +589,7 @@ def verify_classification(points: Sequence[tuple[int, int, int]], *,
                         {
                             "kind": "unpredicted_liftable_class",
                             "kernel": subgroup_to_json(rec.kernel),
+                            "size": rec.size,
                             "witness": None,
                         }
                     )
@@ -588,6 +601,7 @@ def verify_classification(points: Sequence[tuple[int, int, int]], *,
                         {
                             "kind": "missing_predicted_class",
                             "kernel": subgroup_to_json(ker),
+                            "size": sum(1 for _ in _orbit(ker.ctx, n - 1, ker.basis, set())),
                             "witness": fully_liftable(ker).to_json()["witness"],
                         }
                     )

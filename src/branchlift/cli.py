@@ -303,7 +303,8 @@ def cmd_verify(args) -> int:
                 f"liftable={e.liftable} match={'yes' if e.match else 'NO'}"
             )
             for mm in e.mismatches:
-                print(f"  mismatch: {mm['kind']} kernel={mm['kernel']['basis']}")
+                print(f"  mismatch: {mm['kind']} kernel={mm['kernel']['basis']} "
+                      f"size={mm['size']}")
         print("all match" if summary.all_match else "MISMATCH FOUND")
     return 0 if summary.all_match else 1
 

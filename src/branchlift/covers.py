@@ -23,9 +23,11 @@ from .modular import Matrix, ModulusContext, Perm, Vector, json_int
 from .subgroups import (
     CanonicalForm,
     Subgroup,
+    _check_width,
     _howell_columns,
     _pivots,
     _reduce_above,
+    _trusted_subgroup,
     order,
     span,
 )
@@ -213,10 +215,14 @@ def kernel(spec: CoverSpec, strict: bool = True) -> Subgroup:
 
 def _split_graph(spec: CoverSpec, strict: bool) -> tuple[list[list[int]], Subgroup]:
     """The deck pivot rows of the graph and the kernel, as ``kernel``
-    explains; the cover is validated between the two elimination steps."""
+    explains; the width is checked before the graph is built, and the
+    cover is validated between the two elimination steps.  The kernel
+    basis is a Howell basis just computed, so ``_trusted_subgroup`` wraps
+    it without re-checking its entries, as ``span`` does."""
     ctx = spec.ctx
     p, k, n = ctx.p, ctx.k, ctx.modulus
     t, b = len(spec.factor_orders), spec.n - 1
+    _check_width(b)
     graph = [row + [int(j == i) for j in range(b)]
              for i, row in enumerate(_embedded_rows(spec, spec.images[:b]))]
     deck, rest = _howell_columns(graph, range(t), p, k, n)
@@ -224,7 +230,7 @@ def _split_graph(spec: CoverSpec, strict: bool) -> tuple[list[list[int]], Subgro
     if _failure_codes(spec, strict, image_order):
         require_valid(spec, strict)
     basis, _ = _howell_columns([r[t:] for r in rest], range(b), p, k, n)
-    return deck, Subgroup(ctx, b, tuple(tuple(r) for r in basis))
+    return deck, _trusted_subgroup(ctx, b, tuple(tuple(r) for r in basis))
 
 
 def apply_cover_map(spec: CoverSpec, vec: Vector) -> Vector:

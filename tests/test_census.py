@@ -36,7 +36,7 @@ from branchlift import (
     verify_classification,
     write_atlas,
 )
-from branchlift import action, census, subgroups
+from branchlift import action, census, cli, subgroups
 from branchlift.census import atlas_filename
 from branchlift.subgroups import _swap_columns
 from conftest import ACCEPTANCE_GRID, ENUMERATED_GROUPS, all_perms, subgroup_count
@@ -152,13 +152,15 @@ def _reference_orbit(ctx, seed):
 
 @pytest.mark.parametrize("p,k,b", ENUMERATED_GROUPS)
 def test_orbit_walk_matches_reference_on_subgroups(p, k, b):
-    # The lifts of the seeds of every rank: the census walks those of rank
-    # below b, the enumeration all of them.
+    # The seeds of every rank: the census walks those of rank below b, the
+    # enumeration all of them.  The reference swaps every edge of the
+    # lifted walk; read through the unlift it is the walk over the
+    # subgroups' own bases.
     ctx = ModulusContext(p, k)
     for seed in census._identity_bases(ctx, b, max_rank=b):
         lifted = census._lift(ctx, b, seed)
-        walked = list(census._orbit(ctx, lifted))
-        assert walked == _reference_orbit(ctx, lifted)
+        walked = list(census._orbit(ctx, b, seed, set()))
+        assert walked == [census._unlift(x) for x in _reference_orbit(ctx, lifted)]
 
 
 @pytest.mark.parametrize("p,k,b", [(2, 2, 3), (3, 1, 3)])
@@ -179,6 +181,10 @@ def test_lifted_swaps_act_as_transpositions(p, k, b):
             swapped = _swap_columns(ctx, lifted, c)
             assert census._unlift(swapped) == moved
             assert swapped == census._lift(ctx, b, moved)
+            if c >= 1:
+                # Swaps that fix n act on the subgroup's own basis, one
+                # column to the left.
+                assert _swap_columns(ctx, sub.basis, c - 1) == moved
 
 
 def test_swaps_eliminate_only_when_the_pivot_row_at_c_meets_c_plus_1(monkeypatch):
@@ -645,9 +651,11 @@ def test_verify_names_failing_generator_of_missing_prediction(monkeypatch):
     assert missing["kind"] == "missing_predicted_class"
     assert missing["kernel"]["basis"] == [list(r) for r in ker.basis]
     assert missing["witness"] == verdict.witness.cycles()
+    # The orbit under every permutation of the points, with no walk.
+    assert missing["size"] == len({act(alpha, ker).basis for alpha in all_perms(4)}) > 1
 
 
-def test_unpredicted_liftable_class_is_a_mismatch(monkeypatch):
+def test_unpredicted_liftable_class_is_a_mismatch(monkeypatch, capsys):
     # Drop family 3 from the prediction at (2,2,4): its class still lifts,
     # now with no prediction to match.
     original = census.predict_liftable
@@ -668,6 +676,9 @@ def test_unpredicted_liftable_class_is_a_mismatch(monkeypatch):
     assert unpredicted["kind"] == "unpredicted_liftable_class"
     assert unpredicted["kernel"]["basis"] == [list(r) for r in ker.basis]
     assert unpredicted["witness"] is None
+    assert unpredicted["size"] == rec.size == 1
+    assert cli.main(["verify", "--grid", "2,2,4"]) == 1
+    assert f"kernel={unpredicted['kernel']['basis']} size=1" in capsys.readouterr().out
 
 
 def test_predicted_kernels_are_distinct():

@@ -188,6 +188,19 @@ def test_kernel_against_full_graph_reduction():
     assert min(seen.values()) >= 100, seen
 
 
+def test_kernel_refuses_the_width_before_any_elimination(monkeypatch):
+    # A valid cover with 18 points has a kernel in (Z/2)^17, past MAX_RANK.
+    spec = CoverSpec(2, 1, 18, (2,), ((1,),) * 18)
+    assert validate(spec) == []
+
+    def no_elimination(*args):
+        raise AssertionError("_howell_columns called before the width check")
+
+    monkeypatch.setattr("branchlift.covers._howell_columns", no_elimination)
+    with pytest.raises(ValueError, match="ambient rank 17 out of range"):
+        kernel(spec)
+
+
 def test_first_isomorphism_for_predictions():
     for p, k, n in [(2, 1, 3), (2, 1, 4), (3, 1, 3), (2, 2, 4), (2, 2, 6), (3, 2, 3)]:
         for pr in predict_liftable(p, k, n):
