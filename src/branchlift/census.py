@@ -134,20 +134,35 @@ def _identity_bases(ctx: ModulusContext, width: int, max_rank: int) -> Iterator[
     """The Howell bases of the spans of all normal forms (e, U, id) with
     trivial column permutation, in a fixed order; row i is p^(e_i) U_i.
 
-    Only forms of rank at most ``max_rank`` are emitted; below the width
-    that keeps the subgroups whose quotient has exponent exactly p^k.
-    Cofactor entries range over their full bounds, so by the normal-form
-    theorem every such subgroup is a column permutation of an emitted span.
+    For each exponent vector e the choices for each row are built once:
+    row i is (0,)*i + (p^(e_i), *tail), where the tail entry at column j
+    runs over the multiples of p^(e_i) below p^(f_j), f_j = e_j within
+    the rank and k past it.  The bases are the product of those row
+    lists, so no row is built per basis.  Only forms of rank at most
+    ``max_rank`` are emitted; below the width that keeps the subgroups
+    whose quotient has exponent exactly p^k.  Cofactor entries range over
+    their full bounds 0 <= U[i][j] < p^(f_j - e_i), so by the normal-form
+    theorem every such subgroup is a column permutation of an emitted
+    span.
+
+    The order is the row-major product over the cofactor cells, the
+    first cell outermost: ``product`` over the row lists runs the first
+    row outermost, and each row list runs its first cell outermost.  A
+    cell with f_j = e_i takes the single value 0.
+
+    Each row list holds at most p^(k(b-1)) tuples, b = width: the tail
+    has b - 1 - i cells of at most p^k values each.  That is the ambient
+    order over p^k, at most 2^18 under the default bound and ``MAX_RANK``
+    (p^k = 4, b = 10).
 
     The rows are the Howell basis of their span.  U is unit
     upper-triangular and e_i < k weakly increasing, so row i pivots at
-    column i with entry p^(e_i), and the bounds 0 <= U[i][j] <
-    p^(e_j - e_i) put p^(e_i) U[i][j] below the pivot p^(e_j) of column j
-    (below p^k past the rank), which is the above-pivot reduction.  Any
-    multiple that kills a row's pivot kills the whole row, so no
-    annihilator shadow is needed: in an element of the span vanishing
-    left of column j, the first row i < j with a nonzero multiple would
-    leave a nonzero entry at column i.
+    column i with entry p^(e_i), and the bounds put p^(e_i) U[i][j] below
+    the pivot p^(e_j) of column j (below p^k past the rank), which is the
+    above-pivot reduction.  Any multiple that kills a row's pivot kills
+    the whole row, so no annihilator shadow is needed: in an element of
+    the span vanishing left of column j, the first row i < j with a
+    nonzero multiple would leave a nonzero entry at column i.
 
     Distinct forms give distinct spans.  The Howell basis of a span is
     unique, and it gives the form back: the rank is its number of rows,
@@ -158,19 +173,12 @@ def _identity_bases(ctx: ModulusContext, width: int, max_rank: int) -> Iterator[
     for rank in range(max_rank + 1):
         for exps in combinations_with_replacement(range(k), rank):
             full = exps + (k,) * (width - rank)
-            free = [
-                (i, j, p ** full[i], p ** (full[j] - full[i]))
-                for i in range(rank)
-                for j in range(i + 1, width)
-                if full[j] > full[i]
+            rows = [
+                [(0,) * i + (p ** e, *tail)
+                 for tail in product(*(range(0, p ** f, p ** e) for f in full[i + 1:]))]
+                for i, e in enumerate(exps)
             ]
-            base = [[p ** e if i == j else 0 for j in range(width)]
-                    for i, e in enumerate(exps)]
-            for values in product(*(range(bound) for *_, bound in free)):
-                rows = [row[:] for row in base]
-                for (i, j, pe, _), val in zip(free, values):
-                    rows[i][j] = pe * val
-                yield tuple(map(tuple, rows))
+            yield from product(*rows)
 
 
 def _identity_shape(basis: Matrix) -> bool:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from operator import mul
 
-from .modular import Matrix, ModulusContext, Perm, Vector, json_int
+from .modular import MAX_MODULUS, Matrix, ModulusContext, Perm, Vector, json_int
 from .subgroups import (
     CanonicalForm,
     Subgroup,
@@ -373,9 +373,13 @@ class GeneralCoverSpec:
 
 
 def _prime_factors(q: int) -> dict[int, int]:
+    """The prime factorization of q, trial division stopping at
+    MAX_MODULUS.  A leftover above 1 past that point has only prime
+    factors above MAX_MODULUS and is kept as one key, which the modulus
+    check of ``ModulusContext`` refuses before it tests primality."""
     out: dict[int, int] = {}
     d = 2
-    while d * d <= q:
+    while d * d <= q and d <= MAX_MODULUS:
         while q % d == 0:
             out[d] = out.get(d, 0) + 1
             q //= d

@@ -289,6 +289,23 @@ def test_identity_shape_is_trivial_column_permutation(p, k, b):
     assert shaped == set(census._identity_bases(ctx, b, max_rank=b))
 
 
+@pytest.mark.parametrize("p,k,b,max_rank,count,digest", [
+    (2, 1, 4, 0, 1, "6af22f1bc2d94295cb210c6a0734b0d7459c92909665da49d949785ecea55bf8"),
+    (3, 2, 1, 1, 3, "affca3287bc2594915cce61105243e54830be1f65fa514d80b55ce36f31d05f1"),
+    (2, 1, 4, 3, 33, "f72929b1e58545bd0c26a9a38de65dff5b209768f30ad6d7d7e84da25e65a70e"),
+    (3, 1, 3, 3, 20, "63169c4af6bc4a8b692691b5107ac8947b68a1bc8bee0fd2511fc83397a7fd36"),
+    (2, 3, 2, 2, 26, "e2c4ef8c5424bb2f8ee265a78521938c1fa8a6c6de11bc31dda35d80f2525039"),
+    (5, 1, 3, 2, 51, "9e83075c4752aefae0bf9e650aa4709215ab7ef7f0c713ef40574241e71f0b96"),
+    (2, 2, 5, 4, 17313, "c47f380f4a7865758b1aed3780c5dd75013cf227828d6050d70b84212563071d"),
+])
+def test_identity_bases_sequence_pinned(p, k, b, max_rank, count, digest):
+    # The seed order fixes the walk order, so every swap count and every
+    # output order; SHA-256 of the repr of the whole seed sequence.
+    seeds = tuple(census._identity_bases(ModulusContext(p, k), b, max_rank))
+    assert len(seeds) == count
+    assert hashlib.sha256(repr(seeds).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("walk", ["classify", "enumerate"])
 def test_pending_seeds_left_over_raise(monkeypatch, walk):
     # Bases flagged as seeds that never come up as seeds stay pending.
@@ -426,6 +443,32 @@ def test_strict_filter_drops_unbranched(census_cache):
     assert strict.dropped_unbranched > 0
     assert len(lax.classes) > len(strict.classes)
     assert lax.match  # the closed form only concerns honestly branched covers
+
+
+@pytest.mark.parametrize("p,k,n", [pt[:3] for pt in ACCEPTANCE_GRID])
+def test_dropped_unbranched_counts_the_orbits_one_point_down(census_cache, p, k, n):
+    """A strict census drops the orbits of kernels K holding some point
+    class x_j; they number the orbits of a lax census at n - 1 points.
+
+    The homology mod p^k of the sphere with points 1, ..., n - 1, the
+    point n filled in, is (Z/p^k)^(n-1) / <x_n>.  So the kernels holding
+    x_n correspond to its subgroups K / <x_n>, with the same quotient, and
+    the correspondence commutes with S_(n-1), the permutations fixing n.
+    Each dropped orbit meets those kernels: move j to n.  Two of them in
+    one S_n orbit are in one S_(n-1) orbit: if K' = s K with K, K' both
+    holding x_n, then K holds x_j, j = s^-1(n), and x_n.  For y in K with
+    coefficients c_i, (j n) y - y = (c_j - c_n)(x_n - x_j) lies in K, so
+    (j n) K = K and t = s (j n) fixes n with t K = K'.
+
+    At n = 3 the quotient one point down is that of Z/p^k by K / <x_n>;
+    only the trivial subgroup leaves exponent p^k, so K = <x_n>, and the
+    <x_j> form one orbit.
+    """
+    dropped = census_cache(p, k, n).dropped_unbranched
+    if n == 3:
+        assert dropped == 1
+    else:
+        assert dropped == len(classify(p, k, n - 1, strict=False).classes)
 
 
 def test_predict_examples():

@@ -427,3 +427,18 @@ def test_huge_parameters_refused_at_once(args, code, message):
     assert proc.returncode == code
     assert proc.stdout == ""
     assert message in json.loads(proc.stderr)["error"]
+
+
+def test_huge_general_factor_order_refused_at_once(tmp_path):
+    # trial division stops at MAX_MODULUS; the leftover factor is refused
+    # by the modulus check, not factored up to its square root
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "n": 3,
+        "factors": [1000000000000000003],
+        "images": [[1], [1], [1000000000000000001]],
+    }))
+    proc = run_entry_point("check", "--input", str(path), timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "modulus p^k = 1000000000000000003 exceeds 65536" in json.loads(proc.stderr)["error"]
