@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
 from typing import Sequence
 
 from .modular import Matrix, Perm
@@ -164,7 +163,10 @@ def divisibility_criterion(form: CanonicalForm, alpha: Perm) -> bool:
 
     U_i T is ``_moved_row(alpha.images, U_i)``, and U needs no inverse: forward
     substitution over the integers gives w_j = v_j - sum_{t<j} w_t U[t][j]
-    for the moved row v, and the first failing entry ends the test.
+    for the moved row v.  It runs row-wise: starting from w = v, once
+    w_t is final, w_t U_t is subtracted from the entries right of t, and
+    only when w_t is nonzero.  Each w_t is checked as soon as it is final,
+    in ascending t, so the first failing entry ends the test.
     """
     if not form.colperm.is_identity:
         raise OmegaNotIdentityError(
@@ -172,16 +174,18 @@ def divisibility_criterion(form: CanonicalForm, alpha: Perm) -> bool:
         )
     if alpha.size != form.width + 1:
         raise ValueError("permutation size does not match the form")
-    p, upper, exps = form.ctx.p, form.upper, form.exponents
-    cols = tuple(zip(*upper))
+    p, upper, exps, b = form.ctx.p, form.upper, form.exponents, form.width
     for i in range(form.rank):
-        w: list[int] = []
-        for j, vj in enumerate(_moved_row(alpha.images, upper[i])):
-            # map stops with w, so this sums over t < j
-            wj = vj - sum(map(mul, w, cols[j]))
-            if exps[j] > exps[i] and wj % p ** (exps[j] - exps[i]):
-                return False
-            w.append(wj)
+        ei = exps[i]
+        w = _moved_row(alpha.images, upper[i])
+        for t in range(b):
+            wt = w[t]
+            if wt:
+                if exps[t] > ei and wt % p ** (exps[t] - ei):
+                    return False
+                ut = upper[t]
+                for j in range(t + 1, b):
+                    w[j] -= wt * ut[j]
     return True
 
 

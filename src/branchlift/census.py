@@ -219,6 +219,49 @@ def _check_drained(pending: set[Matrix]) -> None:
         )
 
 
+def _gaussian_binomial(n: int, r: int, p: int) -> int:
+    """Number of r-dimensional subspaces of (Z/p)^n."""
+    out = 1
+    for i in range(r):
+        # Each partial product is itself a Gaussian binomial, so the
+        # division is exact.
+        out = out * (p ** (n - i) - 1) // (p ** (i + 1) - 1)
+    return out
+
+
+def _subgroup_count(p: int, k: int, b: int) -> int:
+    """Number of subgroups of (Z/p^k)^b, by Birkhoff's formula; 1 at k = 0.
+
+    A subgroup's type has conjugate (c_1 >= ... >= c_k >= 0) with
+    c_1 <= b, and the subgroups of each type number
+    prod_i p^(c_(i+1) * (b - c_i)) * [b - c_(i+1) choose c_i - c_(i+1)]_p
+    with c_(k+1) = 0 (Birkhoff 1935; Butler, Mem. AMS 1994).  Every type
+    has a subgroup, so the sum costs less than a walk over them.
+    """
+    total = 0
+    for conj in combinations_with_replacement(range(b, -1, -1), k):
+        c = conj + (0,)
+        term = 1
+        for i in range(k):
+            term *= p ** (c[i + 1] * (b - c[i])) * _gaussian_binomial(
+                b - c[i + 1], c[i] - c[i + 1], p
+            )
+        total += term
+    return total
+
+
+def _check_seen(p: int, k: int, b: int, seen: int) -> None:
+    """Refuse a census that walked other than every subgroup of
+    (Z/p^k)^b whose quotient has exponent p^k.  A subgroup whose quotient
+    has a smaller exponent contains p^(k-1) (Z/p^k)^b, so those are the
+    subgroups of (Z/p^(k-1))^b, and the walk must count the difference."""
+    want = _subgroup_count(p, k, b) - _subgroup_count(p, k - 1, b)
+    if seen != want:
+        raise AssertionError(
+            f"the census walked {seen} subgroups, Birkhoff's count is {want}"
+        )
+
+
 def _orbit(ctx: ModulusContext, b: int, seed: Matrix,
            pending: set[Matrix]) -> Iterator[Matrix]:
     """The orbit of the subgroup of (Z/p^k)^b with Howell basis ``seed``
@@ -493,7 +536,7 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
     b = n - 1
     start = time.perf_counter()
 
-    points = _point_classes(ctx, b)
+    basis_classes = _point_classes(ctx, b)[:b]
     predicted = predict_liftable(p, k, n)
     # The kernels key the predictions: for n >= 3 the deck groups of the
     # three families have orders p^(k(n-1)), p^(r(n-2)+k) for 0 < r < k,
@@ -507,7 +550,13 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
         seen += len(orbit)
         rep = _trusted_subgroup(ctx, b, min(orbit))
         pivots = _pivots(rep.basis)
-        if strict and any(_member(v, pivots, ctx.modulus) for v in points):
+        # The loop class x_n = (-1, ..., -1) of point n needs no test:
+        # min(orbit) holds it only if it holds x_1 = (1, 0, ..., 0).
+        # Holding x_n, a unit in column 0, its first basis row is (1, y),
+        # with y != 0 unless it holds x_1; and (1 n) carries it to a
+        # member holding x_1, whose first basis row is (1, 0, ..., 0),
+        # smaller than (1, y).
+        if strict and any(_member(v, pivots, ctx.modulus) for v in basis_classes):
             dropped += 1
             continue
         verdict = fully_liftable(rep)
@@ -529,6 +578,7 @@ def classify(p: int, k: int, n: int, *, bound: int = DEFAULT_BOUND,
         )
     records.sort(key=lambda r: (order(r.kernel), r.kernel.basis))
     match = {r.kernel.basis for r in records if r.liftable} == by_kernel.keys()
+    _check_seen(p, k, b, seen)
 
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return CensusReport(

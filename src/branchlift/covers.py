@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import permutations
-from operator import mul
 
 from .modular import MAX_MODULUS, Matrix, ModulusContext, Perm, Vector, json_int
 from .subgroups import (
@@ -220,16 +219,16 @@ def _split_graph(spec: CoverSpec, strict: bool) -> tuple[list[list[int]], Subgro
     basis is a Howell basis just computed, so ``_trusted_subgroup`` wraps
     it without re-checking its entries, as ``span`` does."""
     ctx = spec.ctx
-    p, k, n = ctx.p, ctx.k, ctx.modulus
+    n = ctx.modulus
     t, b = len(spec.factor_orders), spec.n - 1
     _check_width(b)
     graph = [row + [int(j == i) for j in range(b)]
              for i, row in enumerate(_embedded_rows(spec, spec.images[:b]))]
-    deck, rest = _howell_columns(graph, range(t), p, k, n)
+    deck, rest = _howell_columns(graph, range(t), n)
     image_order = math.prod(n // next(filter(None, row)) for row in deck)
     if _failure_codes(spec, strict, image_order):
         require_valid(spec, strict)
-    basis, _ = _howell_columns([r[t:] for r in rest], range(b), p, k, n)
+    basis, _ = _howell_columns([r[t:] for r in rest], range(b), n)
     return deck, _trusted_subgroup(ctx, b, tuple(tuple(r) for r in basis))
 
 
@@ -254,8 +253,10 @@ def cover_from_form(form: CanonicalForm, n: int) -> CoverSpec:
 
     U is unit upper-triangular, so row i of U^-1 is the unique w with
     w U = e_i, and forward substitution over the integers gives it
-    without the inverse: w_j = [i = j] - sum_{t<j} w_t U[t][j], as in
-    ``action.divisibility_criterion``.
+    without the inverse: w_j = [i = j] - sum_{t<j} w_t U[t][j].  It runs
+    row-wise, as in ``action.divisibility_criterion``: from w = e_i, each
+    final nonzero w_t subtracts w_t U_t from the entries right of t, and
+    w_t = 0 for t < i.
     """
     if not form.colperm.is_identity:
         raise CoverValidationError(
@@ -276,13 +277,17 @@ def cover_from_form(form: CanonicalForm, n: int) -> CoverSpec:
         )
     start = next(i for i, e in enumerate(exps) if e > 0)
     factors = tuple(p ** e for e in exps[start:])
-    cols = tuple(zip(*form.upper))
+    upper = form.upper
     images = []
     for i in range(b):
-        w: list[int] = []
-        for j in range(b):
-            # map stops with w, so this sums over t < j
-            w.append((i == j) - sum(map(mul, w, cols[j])))
+        w = [0] * b
+        w[i] = 1
+        for t in range(i, b):
+            wt = w[t]
+            if wt:
+                ut = upper[t]
+                for j in range(t + 1, b):
+                    w[j] -= wt * ut[j]
         images.append(tuple(x % q for x, q in zip(w[start:], factors)))
     last = tuple(
         (-sum(row[j] for row in images)) % q for j, q in enumerate(factors)

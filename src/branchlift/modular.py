@@ -7,6 +7,12 @@ thin wrappers around a tuple of images.  Residues are always kept canonical
 in [0, p^k), so equality of values is equality of meaning.  No matrix is
 inverted: the unit upper-triangular systems w U = v are solved by forward
 substitution where they arise.
+
+The valuation ``_val`` is a division loop, so the pivot searches in
+``subgroups`` do not call it on the entries they compare: for
+0 < a < p^k, gcd(a, p^k) = p^_val(a), one C call.  It is still used by
+``subgroups.canonical_form``, once per pivot, to read the exponent e off
+the pivot entry p^e.
 """
 
 from __future__ import annotations
@@ -67,7 +73,8 @@ class ModulusContext:
 
 
 def _val(a: int, p: int, k: int) -> int:
-    """Valuation of a canonical residue mod p^k, with _val(0) = k."""
+    """Valuation of a canonical residue mod p^k, with _val(0) = k; see the
+    module docstring for where it is used."""
     if a == 0:
         return k
     t = 0

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import prod
+from math import gcd, prod
 from typing import Iterable, Iterator, Sequence
 
 from .modular import (
@@ -60,21 +60,21 @@ def _pivots(basis: Sequence[Sequence[int]]) -> list[tuple[int, int, Sequence[int
 
 
 def _pivot_step(pool: list[list[int]], placed: list[list[int]], idx: int, col: int,
-                v: int, p: int, k: int, n: int) -> list[list[int]]:
+                pe: int, n: int) -> list[list[int]]:
     """Place ``pool[idx]`` as the pivot row of column ``col``, where its
-    entry has valuation ``v``, the least in that column over the pool;
-    appends it to ``placed`` and returns the rest of the pool.
+    entry has the divisor gcd(entry, p^k) = ``pe``, a power of p and the
+    least in that column over the pool; appends it to ``placed`` and
+    returns the rest of the pool.
 
-    The row is scaled so that its pivot is exactly p^v, so every other
+    The row is scaled so that its pivot is exactly ``pe``, so every other
     entry in the column is an exact multiple of it and the column is
     cleared from the pool without gcd steps; zero rows are dropped.  A
-    nonzero annihilator multiple p^(k-v) * row joins the pool: it vanishes
-    on this column and every column the pool vanished on, so later pivots
-    absorb it and the span stays closed.  Last, the entry in ``col`` of
-    each row in ``placed`` is reduced below p^v.
+    nonzero annihilator multiple (p^k / pe) * row joins the pool: it
+    vanishes on this column and every column the pool vanished on, so
+    later pivots absorb it and the span stays closed.  Last, the entry in
+    ``col`` of each row in ``placed`` is reduced below ``pe``.
     """
     piv = pool.pop(idx)
-    pe = p ** v
     unit = piv[col] // pe
     if unit != 1:
         inv = pow(unit, -1, n)
@@ -87,8 +87,8 @@ def _pivot_step(pool: list[list[int]], placed: list[list[int]], idx: int, col: i
             r = [(x - c * y) % n for x, y in zip(r, piv)]
         if any(r):
             rest.append(r)
-    if v:
-        ann = p ** (k - v)
+    if pe > 1:
+        ann = n // pe
         shadow = [(x * ann) % n for x in piv]
         if any(shadow):
             rest.append(shadow)
@@ -100,36 +100,38 @@ def _pivot_step(pool: list[list[int]], placed: list[list[int]], idx: int, col: i
     return rest
 
 
-def _howell_columns(pool: list[list[int]], cols: Iterable[int], p: int, k: int,
+def _howell_columns(pool: list[list[int]], cols: Iterable[int],
                     n: int) -> tuple[list[list[int]], list[list[int]]]:
     """Howell elimination of the rows in ``pool`` over the columns ``cols``,
-    in order; returns ``(basis, rest)``: the pivot rows, one per column
-    that has one, and the pool left after the last column.  Consumes
-    ``pool``.
+    in order, modulo n = p^k; returns ``(basis, rest)``: the pivot rows,
+    one per column that has one, and the pool left after the last column.
+    Consumes ``pool``.
 
     Each column places the first pool entry of minimal valuation in it
-    with ``_pivot_step``.  Its shadow vanishes on this column and every
-    earlier one, so the rows left after the last column vanish on all of
-    ``cols``.  A placed row changes afterwards only by later pivot rows,
-    which vanish on every earlier pivot column, so each entry reduced
-    above a pivot stays reduced: the result is the one a separate
-    above-pivot pass after the elimination would give.  The pivot rows and
-    ``rest`` together span what ``pool`` spanned.
+    with ``_pivot_step``.  For 0 < a < p^k, gcd(a, p^k) = p^v(a), so the
+    search compares these divisors, and a unit (divisor 1) ends it.  The
+    pivot's shadow vanishes on this column and every earlier one, so the
+    rows left after the last column vanish on all of ``cols``.  A placed
+    row changes afterwards only by later pivot rows, which vanish on
+    every earlier pivot column, so each entry reduced above a pivot stays
+    reduced: the result is the one a separate above-pivot pass after the
+    elimination would give.  The pivot rows and ``rest`` together span
+    what ``pool`` spanned.
     """
     basis: list[list[int]] = []
     for col in cols:
         best = -1
-        best_v = k
+        best_g = n
         for idx, r in enumerate(pool):
             a = r[col]
             if a:
-                v = _val(a, p, k)
-                if best < 0 or v < best_v:
-                    best, best_v = idx, v
-                    if v == 0:
+                g = gcd(a, n)
+                if g < best_g:
+                    best, best_g = idx, g
+                    if g == 1:
                         break
         if best >= 0:
-            pool = _pivot_step(pool, basis, best, col, best_v, p, k, n)
+            pool = _pivot_step(pool, basis, best, col, best_g, n)
     return basis, pool
 
 
@@ -137,7 +139,7 @@ def howell_reduce(ctx: ModulusContext, width: int, rows: Iterable[Sequence[int]]
     """Unique reduced basis for the row span of ``rows`` over Z/p^k: the
     ``_howell_columns`` elimination over every column, which leaves an
     empty pool."""
-    p, k, n = ctx.p, ctx.k, ctx.modulus
+    n = ctx.modulus
     pool = []
     for row in rows:
         if len(row) != width:
@@ -145,7 +147,7 @@ def howell_reduce(ctx: ModulusContext, width: int, rows: Iterable[Sequence[int]]
         r = [x % n for x in row]
         if any(r):
             pool.append(r)
-    basis, _ = _howell_columns(pool, range(width), p, k, n)
+    basis, _ = _howell_columns(pool, range(width), n)
     return tuple(tuple(r) for r in basis)
 
 
@@ -243,7 +245,7 @@ def _swap_columns(ctx: ModulusContext, basis: Matrix, c: int) -> Matrix:
     In both cases the Howell basis of a span is unique, so the result is
     ``howell_reduce`` of the swapped rows.
     """
-    p, k, n = ctx.p, ctx.k, ctx.modulus
+    n = ctx.modulus
     d = c + 1
     lo = 0
     while lo < len(basis) and any(basis[lo][:c]):
@@ -261,7 +263,7 @@ def _swap_columns(ctx: ModulusContext, basis: Matrix, c: int) -> Matrix:
     tail = basis[hi:]
     pivots = _pivots(tail)
     pool = [[*r[:c], r[d], r[c], *r[d + 1:]] for r in basis[lo:hi]]
-    new_pivots, _ = _howell_columns(pool, (c, d), p, k, n)
+    new_pivots, _ = _howell_columns(pool, (c, d), n)
     placed = [tuple(_reduce_above(r, pivots, n)) for r in new_pivots]
     pivots[:0] = _pivots(placed)
     head = [
@@ -430,16 +432,40 @@ def _trusted_form(ctx: ModulusContext, width: int, rank: int,
     return form
 
 
+def _least_entry(pool: Sequence[Sequence[int]], cols: Iterable[int],
+                 n: int) -> tuple[int, int, int]:
+    """``(gcd(a, n), column, row index)`` of the entry a of least valuation
+    in ``pool`` over ``cols``, ties broken by smallest column, then
+    topmost row; ``pool`` is nonzero somewhere on ``cols``.
+
+    The columns are scanned in ascending order and the rows top-down
+    inside each, and a divisor replaces the best one only when strictly
+    smaller, so the first entry reaching the least divisor is the one the
+    tie-break names.  A unit has the least divisor 1 and ends the scan.
+    """
+    best = (n, 0, 0)
+    for c in cols:
+        for ri, r in enumerate(pool):
+            a = r[c]
+            if a:
+                g = gcd(a, n)
+                if g < best[0]:
+                    if g == 1:
+                        return 1, c, ri
+                    best = (g, c, ri)
+    return best
+
+
 def canonical_form(sub: Subgroup) -> CanonicalForm:
     """Compute the normal form of a subgroup from its reduced basis.
 
     Elimination by globally minimal p-valuation: each step takes the entry
     of least valuation over the remaining rows and the columns not yet
-    pivoted, ties broken by smallest column, then topmost row, and places
-    its row with ``_pivot_step``, the step of ``_howell_columns``.  The
-    pivot columns in placing order, then the rest, give the column
-    permutation; row i of U is placed row i read in that order over
-    p^(e_i).
+    pivoted, ties broken by smallest column, then topmost row
+    (``_least_entry``), and places its row with ``_pivot_step``, the step
+    of ``_howell_columns``.  The pivot columns in placing order, then the
+    rest, give the column permutation; row i of U is placed row i read in
+    that order over its pivot entry p^(e_i).
 
     Proof.  The remaining rows vanish on the pivoted columns, and p^e is
     minimal over their other entries, so it divides its whole row: each
@@ -462,26 +488,21 @@ def canonical_form(sub: Subgroup) -> CanonicalForm:
     cols_left = list(range(m))
     placed: list[list[int]] = []
     col_order: list[int] = []
-    exps: list[int] = []
+    pes: list[int] = []
     while pool:
-        best_v, best_c, best_r = k, 0, 0
-        for ri, r in enumerate(pool):
-            for c in cols_left:
-                a = r[c]
-                if a:
-                    v = _val(a, p, k)
-                    if (v, c) < (best_v, best_c):
-                        best_v, best_c, best_r = v, c, ri
-        pool = _pivot_step(pool, placed, best_r, best_c, best_v, p, k, n)
-        col_order.append(best_c)
-        exps.append(best_v)
-        cols_left.remove(best_c)
+        pe, c, ri = _least_entry(pool, cols_left, n)
+        pool = _pivot_step(pool, placed, ri, c, pe, n)
+        col_order.append(c)
+        pes.append(pe)
+        cols_left.remove(c)
     rank = len(placed)
     col_order += cols_left
-    exps += [k] * (m - rank)
-    upper = [tuple(row[c] // pe for c in col_order)
-             for row, pe in zip(placed, (p ** e for e in exps))]
-    upper += [tuple(int(i == j) for j in range(m)) for i in range(rank, m)]
+    exps = [_val(pe, p, k) for pe in pes] + [k] * (m - rank)
+    upper = [tuple([row[c] // pe for c in col_order]) for row, pe in zip(placed, pes)]
+    # The length-m window of ident starting m-1-i places before its 1 is
+    # row i of the identity.
+    ident = (0,) * (m - 1) + (1,) + (0,) * (m - 1)
+    upper += [ident[m - 1 - i:2 * m - 1 - i] for i in range(rank, m)]
     # colperm sends each original column to its position in the new order.
     images = [0] * m
     for pos, c in enumerate(col_order, start=1):
@@ -490,14 +511,15 @@ def canonical_form(sub: Subgroup) -> CanonicalForm:
 
 
 def generating_rows(form: CanonicalForm) -> Matrix:
-    """The rank generator rows described by a form, in ambient coordinates."""
+    """The rank generator rows described by a form, in ambient coordinates:
+    entry j of row i is p^(e_i) U[i][omega(j)] mod p^k, indices from 1."""
     p, n = form.ctx.p, form.ctx.modulus
-    omega = form.colperm
+    cols = [a - 1 for a in form.colperm.images]
     rows = []
     for i in range(form.rank):
         pe = p ** form.exponents[i]
-        scaled = [pe * x for x in form.upper[i]]
-        rows.append(tuple(scaled[omega(j + 1) - 1] % n for j in range(form.width)))
+        row = form.upper[i]
+        rows.append(tuple([pe * row[c] % n for c in cols]))
     return tuple(rows)
 
 

@@ -11,6 +11,7 @@ from itertools import combinations_with_replacement, permutations, product
 import pytest
 
 from branchlift import Matrix, ModulusContext, Perm, classify, howell_reduce
+from branchlift.modular import _val
 
 
 def brute_span(ctx: ModulusContext, width: int, rows) -> frozenset:
@@ -81,6 +82,53 @@ def subgroup_count(p: int, k: int, b: int) -> int:
             )
         total += term
     return total
+
+
+def canonical_form_reference(sub) -> tuple:
+    """``(rank, exponents, upper, colperm images)`` of a subgroup's normal
+    form by a row-major pivot search, against which ``canonical_form``'s
+    column-first gcd scan is checked: every remaining row against every
+    remaining column, valuations by ``_val``, the least (valuation,
+    column) kept with the topmost row.  The elimination is restated here
+    too.  The shadow
+    p^(k-v) * pivot row is left out: v is least over the pool, so p^v
+    divides the whole row and the shadow is zero."""
+    ctx, m = sub.ctx, sub.width
+    p, k, n = ctx.p, ctx.k, ctx.modulus
+    pool = [list(r) for r in sub.basis if any(r)]
+    cols_left = list(range(m))
+    placed, col_order, exps = [], [], []
+    while pool:
+        best_v, best_c, best_r = k, 0, 0
+        for ri, r in enumerate(pool):
+            for c in cols_left:
+                if r[c]:
+                    v = _val(r[c], p, k)
+                    if (v, c) < (best_v, best_c):
+                        best_v, best_c, best_r = v, c, ri
+        piv = pool.pop(best_r)
+        pe = p ** best_v
+        inv = pow(piv[best_c] // pe, -1, n)
+        piv = [x * inv % n for x in piv]
+
+        def clear(r):
+            c = r[best_c] // pe
+            return [(x - c * y) % n for x, y in zip(r, piv)]
+
+        pool = [r for r in map(clear, pool) if any(r)]
+        placed = [*map(clear, placed), piv]
+        col_order.append(best_c)
+        exps.append(best_v)
+        cols_left.remove(best_c)
+    rank = len(placed)
+    col_order += cols_left
+    exps += [k] * (m - rank)
+    upper = [tuple(row[c] // p ** e for c in col_order) for row, e in zip(placed, exps)]
+    upper += [tuple(int(i == j) for j in range(m)) for i in range(rank, m)]
+    images = [0] * m
+    for pos, c in enumerate(col_order, start=1):
+        images[c] = pos
+    return rank, tuple(exps), tuple(upper), tuple(images)
 
 
 def graph_kernel_reference(spec) -> Matrix:

@@ -39,13 +39,44 @@ from branchlift import (
 from branchlift import action, census, cli, subgroups
 from branchlift.census import atlas_filename
 from branchlift.subgroups import _swap_columns
-from conftest import ACCEPTANCE_GRID, ENUMERATED_GROUPS, all_perms, subgroup_count
+from conftest import (
+    ACCEPTANCE_GRID,
+    ENUMERATED_GROUPS,
+    all_perms,
+    gaussian_binomial,
+    subgroup_count,
+)
 
 
 def test_enumerate_counts():
     assert sum(1 for _ in enumerate_subgroups(2, 1, 2)) == 5
     assert sum(1 for _ in enumerate_subgroups(2, 2, 1)) == 3
     assert sum(1 for _ in enumerate_subgroups(3, 1, 2)) == 6
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_census_birkhoff_count_agrees_with_the_oracle(p):
+    for b in range(1, 9):
+        for r in range(b + 1):
+            assert census._gaussian_binomial(b, r, p) == gaussian_binomial(b, r, p)
+        for k in range(5):
+            assert census._subgroup_count(p, k, b) == subgroup_count(p, k, b)
+
+
+def test_classify_refuses_a_walk_that_misses_an_orbit(monkeypatch):
+    # The walk is run in full, so the seed loop's own drain check holds,
+    # but the first orbit is not handed to classify.
+    real_orbits = census._orbits
+
+    def all_but_the_first(*args):
+        orbits = real_orbits(*args)
+        for _ in next(orbits):
+            pass
+        yield from orbits
+
+    monkeypatch.setattr(census, "_orbits", all_but_the_first)
+    with pytest.raises(AssertionError, match="Birkhoff's count is 66"):
+        classify(2, 1, 5)
 
 
 def test_subgroup_count_pinned_values():

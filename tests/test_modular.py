@@ -1,4 +1,5 @@
 import re
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -167,3 +168,13 @@ def test_inv_unitriangular_roundtrip(q, ctx):
     n = len(q)
     assert reduce_mod(matmul(q, inv), ctx) == identity_matrix(n)
     assert reduce_mod(matmul(inv, q), ctx) == identity_matrix(n)
+
+
+@pytest.mark.parametrize("p,kmax", [(2, 6), (3, 4), (5, 3)])
+def test_gcd_with_the_modulus_is_p_to_the_valuation(p, kmax):
+    # The pivot searches compare gcd(a, p^k) in place of p^_val(a);
+    # at a = 0 both sides are p^k.
+    for k in range(1, kmax + 1):
+        n = p ** k
+        for a in range(n):
+            assert gcd(a, n) == p ** modular._val(a, p, k)

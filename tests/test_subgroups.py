@@ -30,7 +30,12 @@ from branchlift import (
 )
 from branchlift.census import _identity_bases
 from branchlift.subgroups import _swap_columns, generating_rows
-from conftest import ENUMERATED_GROUPS, brute_all_subgroups, brute_span
+from conftest import (
+    ENUMERATED_GROUPS,
+    brute_all_subgroups,
+    brute_span,
+    canonical_form_reference,
+)
 
 Z4 = ModulusContext(2, 2)
 Z2 = ModulusContext(2, 1)
@@ -365,6 +370,38 @@ def test_canonical_forms_pinned():
     # the round trip accepts any form that rebuilds to the subgroup; this
     # pins the forms themselves: the pivot order and its column tie-break
     assert _canonical_forms_digest() == (2269, CANONICAL_FORMS_SHA256)
+
+
+def _form_fields(form):
+    return form.rank, form.exponents, form.upper, form.colperm.images
+
+
+@pytest.mark.parametrize("p,k,b", ENUMERATED_GROUPS)
+def test_canonical_form_matches_the_row_major_reference(p, k, b):
+    # The column-first, gcd-compared pivot search against a row-major
+    # valuation scan, on every subgroup.
+    for f in enumerate_subgroups(p, k, b):
+        sub = rebuild(f)
+        assert _form_fields(canonical_form(sub)) == canonical_form_reference(sub)
+
+
+def test_canonical_form_matches_the_row_major_reference_on_random_spans():
+    rng = random.Random(22)
+    for _ in range(3000):
+        p = rng.choice((2, 3, 5))
+        k = rng.randint(1, 4)
+        ctx = ModulusContext(p, k)
+        n = ctx.modulus
+        width = rng.randint(1, 8)
+        # Sparse rows with entries of every valuation, so that ties in
+        # valuation across rows and columns are common.
+        rows = [
+            [rng.choice((0, 0, rng.randrange(n), p ** rng.randrange(k) * rng.randrange(n)))
+             for _ in range(width)]
+            for _ in range(rng.randint(0, width + 2))
+        ]
+        sub = span(ctx, width, rows)
+        assert _form_fields(canonical_form(sub)) == canonical_form_reference(sub)
 
 
 def test_rebuild_rejects_bad_forms():
