@@ -28,8 +28,9 @@ from functools import lru_cache
 from typing import Sequence
 
 from .modular import Matrix, Perm
-from .subgroups import (CanonicalForm, Subgroup, _member, _pivots, _trusted_form,
-                        _trusted_subgroup, canonical_form, generating_rows, span)
+from .subgroups import (_IDENTITY_PERMS, CanonicalForm, Subgroup, _member, _pivots,
+                        _trusted_form, _trusted_subgroup, canonical_form,
+                        generating_rows, span)
 
 __all__ = [
     "OmegaNotIdentityError",
@@ -220,7 +221,7 @@ def _omega_twin(form: CanonicalForm) -> CanonicalForm:
     """The form (e, U, id) of the same exponents and cofactor as ``form``,
     with the column permutation dropped; see ``omega_normalize``."""
     return _trusted_form(form.ctx, form.width, form.rank, form.exponents,
-                         form.upper, Perm.identity(form.width))
+                         form.upper, _IDENTITY_PERMS[form.width])
 
 
 def omega_normalize(sub: Subgroup) -> tuple[Subgroup, CanonicalForm]:
@@ -233,13 +234,9 @@ def omega_normalize(sub: Subgroup) -> tuple[Subgroup, CanonicalForm]:
     x_n = 0, beta moves x to y with y_j = x_(w^-1(j)) = p^(e_i) U[i][j],
     so the twin is spanned by the rows of the form (e, U, id).
 
-    Those rows are the twin's Howell basis (``census._identity_bases``).
-    On them ``canonical_form`` pivots at row i and column i in turn:
-    column i is the first remaining column holding an entry of the
-    least remaining valuation e_i, and row i is the only remaining row
-    nonzero there.  Nothing is eliminated, the column order stays the
-    identity, and the bounds on U leave it unreduced.  So the twin's
-    normal form is (e, U, id), and both are read off the form at once.
+    Those rows are the twin's Howell basis, and its normal form is
+    (e, U, id), as the proof of ``canonical_form``'s read-off shows; so
+    both are read off the form at once.
     """
     form = canonical_form(sub)
     if form.colperm.is_identity:

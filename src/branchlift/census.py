@@ -15,9 +15,9 @@ point permutations S_n on the subgroups of (Z/p^k)^b, b = n - 1, each
 found once by one seed loop (``_orbits``) and walked over the
 subgroups' own Howell bases (``_orbit``).  The transpositions (1 2), ...,
 (b-1 b) that generate S_n with (n 1) are adjacent column swaps there;
-only (n 1) moves point n, and it is a column swap of the lift of the
-subgroup (``_lift``).  A class is fully liftable exactly when its orbit
-is a single subgroup.
+(n 1), the only one that moves point n, rewrites at most the first basis
+row (``_swap_1n``).  A class is fully liftable exactly when its orbit is
+a single subgroup.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .subgroups import (
     CanonicalForm,
     Subgroup,
     _check_width,
+    _identity_shape,
     _member,
     _pivots,
     _reduce_above,
@@ -155,19 +156,9 @@ def _identity_bases(ctx: ModulusContext, width: int, max_rank: int) -> Iterator[
     order over p^k, at most 2^18 under the default bound and ``MAX_RANK``
     (p^k = 4, b = 10).
 
-    The rows are the Howell basis of their span.  U is unit
-    upper-triangular and e_i < k weakly increasing, so row i pivots at
-    column i with entry p^(e_i), and the bounds put p^(e_i) U[i][j] below
-    the pivot p^(e_j) of column j (below p^k past the rank), which is the
-    above-pivot reduction.  Any multiple that kills a row's pivot kills
-    the whole row, so no annihilator shadow is needed: in an element of
-    the span vanishing left of column j, the first row i < j with a
-    nonzero multiple would leave a nonzero entry at column i.
-
-    Distinct forms give distinct spans.  The Howell basis of a span is
-    unique, and it gives the form back: the rank is its number of rows,
-    e_i is the valuation of row i's pivot, and U_i is row i divided by
-    p^(e_i), an exact division of entries below p^k.
+    The rows are the Howell basis of their span, and distinct forms give
+    distinct spans: ``canonical_form`` proves the first and reads the
+    form back off the unique Howell basis of the span.
     """
     p, k = ctx.p, ctx.k
     for rank in range(max_rank + 1):
@@ -179,37 +170,6 @@ def _identity_bases(ctx: ModulusContext, width: int, max_rank: int) -> Iterator[
                 for i, e in enumerate(exps)
             ]
             yield from product(*rows)
-
-
-def _identity_shape(basis: Matrix) -> bool:
-    """Whether the Howell basis ``basis`` is one that ``_identity_bases``
-    emits: row i pivots at column i with entry p^(e_i), e is weakly
-    increasing, and every entry of row i is divisible by p^(e_i).
-
-    Those bases have this shape.  Conversely, read e off the pivots and
-    let U_i be row i divided by p^(e_i), an exact division.  Then U is
-    unit upper-triangular, each e_i < k since the pivot is nonzero mod
-    p^k, and the above-pivot reduction of a Howell basis puts
-    p^(e_i) U[i][j] below the pivot p^(e_j) of column j (below p^k past
-    the rank), which are the cofactor bounds ``_identity_bases`` ranges
-    over.  So (e, U, id) is one of its forms, and the basis emitted for
-    it is the rows p^(e_i) U_i, this basis.
-
-    Pivot columns of a Howell basis strictly increase, so row i pivots at
-    column i or later, and every row i pivots at column i exactly when the
-    last row r - 1 does, that is when its entry at column r - 1 is
-    nonzero: the first test.  Pivot entries are powers of p, so e is
-    weakly increasing when each pivot divides the next.
-    """
-    if basis and not basis[-1][len(basis) - 1]:
-        return False
-    last = 1
-    for i, row in enumerate(basis):
-        pe = row[i]
-        if pe % last or (pe > 1 and any(x % pe for x in row)):
-            return False
-        last = pe
-    return True
 
 
 def _check_drained(pending: set[Matrix]) -> None:
@@ -276,14 +236,9 @@ def _orbit(ctx: ModulusContext, b: int, seed: Matrix,
 
     The generators are (n 1), (1 2), ..., (b-1 b), numbered 0 to b - 1.
     Generator i >= 1 fixes n, so it permutes the coordinates x_j - x_n of
-    (Z/p^k)^b: it swaps columns i - 1 and i of the subgroup's own basis.
-    Only generator 0 moves n.  On the lift (``_lift``), columns ordered
-    (n, 1, ..., b), it swaps columns 0 and 1, and the swapped lift is the
-    lift of the moved subgroup, whose basis ``_unlift`` reads off.  As
-    the lift commutes with the point permutations, this walk is the walk
-    over lifted bases that swaps columns i and i + 1 for generator i,
-    read through ``_unlift``, which is injective on lifts: the same
-    subgroups, found in the same order, with the same swaps.
+    (Z/p^k)^b: it swaps columns i - 1 and i of the subgroup's own basis
+    (``_swap_columns``).  Only generator 0 moves n, and ``_swap_1n``
+    computes its image on the same basis.
 
     The walk keeps its Schreier graph: ``elems`` lists the bases in the
     order found, ``index`` numbers them, and ``table[x][i]`` is the number
@@ -331,44 +286,46 @@ def _orbit(ctx: ModulusContext, b: int, seed: Matrix,
                 else:
                     break
             if y is None:
-                if i:
-                    moved = _swap_columns(ctx, cur, i - 1)
-                else:
-                    moved = _unlift(_swap_columns(ctx, _lift(ctx, b, cur), 0))
+                moved = _swap_columns(ctx, cur, i - 1) if i else _swap_1n(ctx, cur)
                 y = index.get(moved)
                 if y is None:
                     y = index[moved] = len(elems)
                     elems.append(moved)
                     table.append([None] * b)
-                    if _identity_shape(moved):
+                    if _identity_shape(moved, ctx.modulus):
                         pending.add(moved)
                     yield moved
             row[i] = y
             table[y][i] = x
 
 
-def _lift(ctx: ModulusContext, width: int, basis: Matrix) -> Matrix:
-    """Howell basis of the preimage of the subgroup with Howell basis
-    ``basis`` under (Z/p^k)^n -> (Z/p^k)^b, x -> (x_j - x_n)_j, where
-    b = width, n = b + 1 and the columns are ordered (n, 1, ..., b).
+def _swap_1n(ctx: ModulusContext, basis: Matrix) -> Matrix:
+    """The Howell basis of the image under the point transposition (1 n)
+    of the subgroup of (Z/p^k)^b with Howell basis ``basis``, n = b + 1.
 
-    A point permutation acts on (Z/p^k)^b as the coordinate permutation of
-    (Z/p^k)^n read through this map, so it acts on preimages by permuting
-    columns.  The preimage is spanned by the all-ones vector and (0 | row)
-    for each basis row.  Its elements vanishing at column 0 are the
-    (0 | x) with x in the subgroup, so its Howell basis is
-    (1 | ones reduced above the subgroup's pivots) on top of (0 | row).
+    On the coordinates y_j = x_j - x_n, swapping x_1 and x_n sends y to
+    T y = (-y_1, y_2 - y_1, ..., y_b - y_1), an automorphism that fixes
+    every vector vanishing at column 0 and moves no other vector to one.
+    Only row 0 of a Howell basis can be nonzero there, so if it does not
+    pivot at column 0 the basis is returned unchanged.  Otherwise row 0 is (p^e, v_2, ..., v_b) and
+    -T row 0 is r' = (p^e, p^e - v_2, ..., p^e - v_b) mod p^k, and r' and
+    rows 1, 2, ... span the image.  Rows 1, 2, ... are kept as they are:
+    by the Howell property they span the elements of the span vanishing
+    at column 0, which T fixes, so they span those of the image, and the
+    Howell property at every column j >= 1 concerns only these.  The
+    shadow p^(k-e) r' = (0, -p^(k-e) v) mod p^k is -p^(k-e) row 0, which
+    lies in that set, so the property holds at column 0 too.  Last, r' is
+    reduced above the pivots of rows 1, 2, ... in ascending column order
+    (``_reduce_above``); each subtraction changes only entries right of
+    its pivot column, so it keeps its pivot p^e and every entry reduced
+    before.  By uniqueness this is ``howell_reduce`` of the image.
     """
-    ones = _reduce_above([1] * width, _pivots(basis), ctx.modulus)
-    return ((1, *ones), *((0, *row) for row in basis))
-
-
-def _unlift(lifted: Matrix) -> Matrix:
-    """The Howell basis of the subgroup whose preimage has the Howell
-    basis ``lifted``, as ``_lift`` lays it out: a preimage contains the
-    all-ones vector, so row 0 pivots at column 0 with entry 1, and the
-    other rows are (0 | row) for the subgroup's basis rows."""
-    return tuple(row[1:] for row in lifted[1:])
+    if not basis or not basis[0][0]:
+        return basis
+    n = ctx.modulus
+    pe, *tail = basis[0]
+    head = [pe, *((pe - v) % n for v in tail)]
+    return (tuple(_reduce_above(head, _pivots(basis[1:]), n)), *basis[1:])
 
 
 def _orbits(ctx: ModulusContext, b: int, max_rank: int) -> Iterator[Iterator[Matrix]]:

@@ -175,6 +175,15 @@ class Perm:
         return f"Perm({list(self.images)})"
 
 
+def _trusted_perm(images: tuple[int, ...]) -> Perm:
+    """A ``Perm`` from a tuple of images that the caller has just built as
+    a bijection of 1..m, without the constructor's sorting check; a direct
+    ``Perm(...)`` still checks."""
+    perm = object.__new__(Perm)
+    perm.images = images
+    return perm
+
+
 def _check_rect(m: Sequence[Sequence[int]]) -> None:
     if m and any(len(row) != len(m[0]) for row in m):
         raise ValueError("ragged matrix")

@@ -26,6 +26,7 @@ from .modular import (
     ModulusContext,
     Perm,
     Vector,
+    _trusted_perm,
     _val,
     json_int,
 )
@@ -432,6 +433,48 @@ def _trusted_form(ctx: ModulusContext, width: int, rank: int,
     return form
 
 
+#: The identity permutation of each width, shared by the forms that have it.
+_IDENTITY_PERMS = tuple(_trusted_perm(tuple(range(1, m + 1))) for m in range(MAX_RANK + 1))
+
+
+def _identity_shape(basis: Sequence[Sequence[int]], n: int) -> bool:
+    """Whether the rows ``basis``, canonical residues modulo n = p^k, have
+    identity shape: row i vanishes left of column i and has a power of p,
+    p^(e_i), there, e is weakly increasing, every entry of row i is
+    divisible by p^(e_i), and the entry of row i at each later pivot
+    column j lies below the pivot p^(e_j).
+
+    Such rows are p^(e_i) U_i for the form (e, U, id) that
+    ``canonical_form`` reads off them, and they are the Howell basis of
+    their span (see there); on Howell bases these are exactly the bases
+    ``census._identity_bases`` emits.  A pivot 0 < p^e < n is a power of
+    p exactly when it divides n, and a power of p divides the next pivot
+    exactly when its exponent is not larger.
+
+    Pivot columns of a Howell basis strictly increase, so every row i
+    pivots at column i exactly when the last row r - 1 does, that is when
+    its entry at column r - 1 is nonzero: the first test, which rejects
+    most bases at once.  The other tests make the check exact on any
+    rows, so a ``Subgroup`` built by hand, whose constructor checks only
+    shape, takes the shortcut only when it is reduced.
+    """
+    r = len(basis)
+    if r and (r > len(basis[0]) or not basis[-1][r - 1]):
+        return False
+    last = 1
+    for i, row in enumerate(basis):
+        pe = row[i]
+        if not pe or n % pe or pe % last or any(row[:i]):
+            return False
+        if pe > 1 and any(x % pe for x in row):
+            return False
+        for above in basis[:i]:
+            if above[i] >= pe:
+                return False
+        last = pe
+    return True
+
+
 def _least_entry(pool: Sequence[Sequence[int]], cols: Iterable[int],
                  n: int) -> tuple[int, int, int]:
     """``(gcd(a, n), column, row index)`` of the entry a of least valuation
@@ -459,6 +502,32 @@ def _least_entry(pool: Sequence[Sequence[int]], cols: Iterable[int],
 def canonical_form(sub: Subgroup) -> CanonicalForm:
     """Compute the normal form of a subgroup from its reduced basis.
 
+    A basis of identity shape (``_identity_shape``) is read straight off:
+    e_i is the valuation of row i's pivot p^(e_i), U_i is row i divided
+    by p^(e_i), the rows past the rank are identity rows, and the column
+    permutation is the identity.  Any other basis is eliminated.
+
+    Proof of the read-off.  Each division is exact, U is unit
+    upper-triangular, each e_i < k as the pivot is nonzero mod p^k, and
+    the entry p^(e_i) U[i][j] of row i at a pivot column j lies below
+    p^(e_j), so U[i][j] < p^(e_j - e_i); past the rank any residue is in
+    bound.  So (e, U, id) is a form and the rows are p^(e_i) U_i.  They
+    are the Howell basis of their span: row i pivots at column i with
+    entry p^(e_i), the bounds are the above-pivot reduction, and a
+    multiple that kills a row's pivot kills the whole row, which p^(e_i)
+    divides, so no annihilator shadow is needed (in an element of the
+    span vanishing left of column j, the first row i < j with a nonzero
+    multiple would leave a nonzero entry at column i).  On these rows the
+    elimination below pivots at row i and column i in turn: every
+    remaining row t >= i is divisible by p^(e_t), a multiple of p^(e_i),
+    so no remaining entry has a smaller divisor, and column i, the first
+    remaining column, holds p^(e_i) in row i, the only remaining row
+    nonzero there.  The pivot is p^(e_i) itself, so no unit is scaled
+    out; no remaining row meets column i, so nothing is cleared; and each
+    placed row t holds p^(e_t) U[t][i] < p^(e_i) there, so nothing is
+    reduced.  The elimination thus ends with the rows as they were, in
+    the identity column order, and gives (e, U, id).
+
     Elimination by globally minimal p-valuation: each step takes the entry
     of least valuation over the remaining rows and the columns not yet
     pivoted, ties broken by smallest column, then topmost row
@@ -484,30 +553,37 @@ def canonical_form(sub: Subgroup) -> CanonicalForm:
     """
     ctx, m = sub.ctx, sub.width
     p, k, n = ctx.p, ctx.k, ctx.modulus
-    pool = [list(r) for r in sub.basis if any(r)]
-    cols_left = list(range(m))
-    placed: list[list[int]] = []
-    col_order: list[int] = []
-    pes: list[int] = []
-    while pool:
-        pe, c, ri = _least_entry(pool, cols_left, n)
-        pool = _pivot_step(pool, placed, ri, c, pe, n)
-        col_order.append(c)
-        pes.append(pe)
-        cols_left.remove(c)
-    rank = len(placed)
-    col_order += cols_left
+    if _identity_shape(sub.basis, n):
+        rank = len(sub.basis)
+        pes = [row[i] for i, row in enumerate(sub.basis)]
+        upper = [tuple([x // pe for x in row]) for row, pe in zip(sub.basis, pes)]
+        colperm = _IDENTITY_PERMS[m]
+    else:
+        pool = [list(r) for r in sub.basis if any(r)]
+        cols_left = list(range(m))
+        placed: list[list[int]] = []
+        col_order: list[int] = []
+        pes = []
+        while pool:
+            pe, c, ri = _least_entry(pool, cols_left, n)
+            pool = _pivot_step(pool, placed, ri, c, pe, n)
+            col_order.append(c)
+            pes.append(pe)
+            cols_left.remove(c)
+        rank = len(placed)
+        col_order += cols_left
+        upper = [tuple([row[c] // pe for c in col_order]) for row, pe in zip(placed, pes)]
+        # colperm sends each original column to its position in the new order.
+        images = [0] * m
+        for pos, c in enumerate(col_order, start=1):
+            images[c] = pos
+        colperm = _trusted_perm(tuple(images))
     exps = [_val(pe, p, k) for pe in pes] + [k] * (m - rank)
-    upper = [tuple([row[c] // pe for c in col_order]) for row, pe in zip(placed, pes)]
     # The length-m window of ident starting m-1-i places before its 1 is
     # row i of the identity.
     ident = (0,) * (m - 1) + (1,) + (0,) * (m - 1)
     upper += [ident[m - 1 - i:2 * m - 1 - i] for i in range(rank, m)]
-    # colperm sends each original column to its position in the new order.
-    images = [0] * m
-    for pos, c in enumerate(col_order, start=1):
-        images[c] = pos
-    return _trusted_form(ctx, m, rank, tuple(exps), tuple(upper), Perm(images))
+    return _trusted_form(ctx, m, rank, tuple(exps), tuple(upper), colperm)
 
 
 def generating_rows(form: CanonicalForm) -> Matrix:
@@ -524,8 +600,14 @@ def generating_rows(form: CanonicalForm) -> Matrix:
 
 
 def rebuild(form: CanonicalForm) -> Subgroup:
-    """The subgroup generated by the rows a form describes."""
-    return span(form.ctx, form.width, generating_rows(form))
+    """The subgroup generated by the rows a form describes.  Under the
+    identity column permutation those rows p^(e_i) U_i are already the
+    Howell basis of their span (see ``canonical_form``), so they are not
+    reduced again."""
+    rows = generating_rows(form)
+    if form.colperm.is_identity:
+        return _trusted_subgroup(form.ctx, form.width, rows)
+    return span(form.ctx, form.width, rows)
 
 
 def quotient_invariants(sub: Subgroup) -> tuple[int, ...]:

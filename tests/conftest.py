@@ -12,6 +12,7 @@ import pytest
 
 from branchlift import Matrix, ModulusContext, Perm, classify, howell_reduce
 from branchlift.modular import _val
+from branchlift.subgroups import _pivots, _reduce_above
 
 
 def brute_span(ctx: ModulusContext, width: int, rows) -> frozenset:
@@ -146,6 +147,33 @@ def graph_kernel_reference(spec) -> Matrix:
     ]
     graph = howell_reduce(ctx, t + b, rows)
     return tuple(row[t:] for row in graph if not any(row[:t]))
+
+
+def lift(ctx: ModulusContext, width: int, basis: Matrix) -> Matrix:
+    """Howell basis of the preimage of the subgroup with Howell basis
+    ``basis`` under (Z/p^k)^n -> (Z/p^k)^b, x -> (x_j - x_n)_j, where
+    b = width, n = b + 1 and the columns are ordered (n, 1, ..., b).
+
+    A point permutation acts on (Z/p^k)^b as the coordinate permutation of
+    (Z/p^k)^n read through this map, so it acts on preimages by permuting
+    columns: with this order, swapping columns 0 and 1 is (1 n) and
+    swapping columns c and c + 1 is (c c+1).  The preimage is spanned by
+    the all-ones vector and (0 | row) for each basis row.  Its elements
+    vanishing at column 0 are the (0 | x) with x in the subgroup, so its
+    Howell basis is (1 | ones reduced above the subgroup's pivots) on top
+    of (0 | row).  The reference against which the census walk's direct
+    (1 n) step is checked.
+    """
+    ones = _reduce_above([1] * width, _pivots(basis), ctx.modulus)
+    return ((1, *ones), *((0, *row) for row in basis))
+
+
+def unlift(lifted: Matrix) -> Matrix:
+    """The Howell basis of the subgroup whose preimage has the Howell
+    basis ``lifted``, as ``lift`` lays it out: a preimage contains the
+    all-ones vector, so row 0 pivots at column 0 with entry 1, and the
+    other rows are (0 | row) for the subgroup's basis rows."""
+    return tuple(row[1:] for row in lifted[1:])
 
 
 def identity_matrix(n: int) -> Matrix:

@@ -38,13 +38,15 @@ from branchlift import (
 )
 from branchlift import action, census, cli, subgroups
 from branchlift.census import atlas_filename
-from branchlift.subgroups import _swap_columns
+from branchlift.subgroups import _identity_shape, _swap_columns
 from conftest import (
     ACCEPTANCE_GRID,
     ENUMERATED_GROUPS,
     all_perms,
     gaussian_binomial,
+    lift,
     subgroup_count,
+    unlift,
 )
 
 
@@ -123,8 +125,8 @@ def test_generators_are_involutions():
 )
 def test_orbit_walk_swaps_only_undeduced_edges(monkeypatch, walk, p, k, b, swaps):
     # The walked subgroups and generators, listed without the walk.  Both
-    # walks use the transpositions (n 1), (1 2), ..., (b-1 b), the
-    # adjacent column swaps of the lifted bases.  The census walks the
+    # walks use the transpositions (n 1), (1 2), ..., (b-1 b): the direct
+    # (n 1) step and the adjacent column swaps.  The census walks the
     # forms of rank below b, whose quotient has exponent exactly p^k; the
     # enumeration walks every subgroup.
     walked = [rebuild(f) for f in enumerate_subgroups(p, k, b)
@@ -146,13 +148,18 @@ def test_orbit_walk_swaps_only_undeduced_edges(monkeypatch, walk, p, k, b, swaps
             root[find(y)] = find(x)
     orbits = len({find(x) for x in images})
     calls = []
-    real_swap = census._swap_columns
+    real_swap, real_swap_1n = census._swap_columns, census._swap_1n
 
     def counting_swap(ctx, basis, c):
-        calls.append(c)
+        calls.append(c + 1)
         return real_swap(ctx, basis, c)
 
+    def counting_swap_1n(ctx, basis):
+        calls.append(0)
+        return real_swap_1n(ctx, basis)
+
     monkeypatch.setattr(census, "_swap_columns", counting_swap)
+    monkeypatch.setattr(census, "_swap_1n", counting_swap_1n)
     if walk == "classify":
         assert classify(p, k, b + 1).subgroups_seen == len(walked)
     else:
@@ -185,13 +192,12 @@ def _reference_orbit(ctx, seed):
 def test_orbit_walk_matches_reference_on_subgroups(p, k, b):
     # The seeds of every rank: the census walks those of rank below b, the
     # enumeration all of them.  The reference swaps every edge of the
-    # lifted walk; read through the unlift it is the walk over the
-    # subgroups' own bases.
+    # lifted walk (``conftest.lift``); read through the unlift it is the
+    # walk over the subgroups' own bases.
     ctx = ModulusContext(p, k)
     for seed in census._identity_bases(ctx, b, max_rank=b):
-        lifted = census._lift(ctx, b, seed)
         walked = list(census._orbit(ctx, b, seed, set()))
-        assert walked == [census._unlift(x) for x in _reference_orbit(ctx, lifted)]
+        assert walked == [unlift(x) for x in _reference_orbit(ctx, lift(ctx, b, seed))]
 
 
 @pytest.mark.parametrize("p,k,b", [(2, 2, 3), (3, 1, 3)])
@@ -203,25 +209,39 @@ def test_lifted_swaps_act_as_transpositions(p, k, b):
     taus += [Perm.transposition(b + 1, c, c + 1) for c in range(1, b)]
     for form in enumerate_subgroups(p, k, b):
         sub = rebuild(form)
-        lifted = census._lift(ctx, b, sub.basis)
+        lifted = lift(ctx, b, sub.basis)
         assert howell_reduce(ctx, b + 1, lifted) == lifted
-        assert census._unlift(lifted) == sub.basis
-        assert census._identity_shape(lifted) == census._identity_shape(sub.basis)
+        assert unlift(lifted) == sub.basis
+        assert _identity_shape(lifted, ctx.modulus) == _identity_shape(sub.basis, ctx.modulus)
         for c, tau in enumerate(taus):
             moved = act(tau, sub).basis
             swapped = _swap_columns(ctx, lifted, c)
-            assert census._unlift(swapped) == moved
-            assert swapped == census._lift(ctx, b, moved)
+            assert unlift(swapped) == moved
+            assert swapped == lift(ctx, b, moved)
             if c >= 1:
                 # Swaps that fix n act on the subgroup's own basis, one
                 # column to the left.
                 assert _swap_columns(ctx, sub.basis, c - 1) == moved
 
 
+@pytest.mark.parametrize("p,k,b", [(2, 2, 2), *ENUMERATED_GROUPS])
+def test_swap_1n_is_the_transposition_1n(p, k, b):
+    # Oracles: ``act`` of (1 n), and the swap of columns 0 and 1 of the
+    # lifted basis read back through the unlift.
+    ctx = ModulusContext(p, k)
+    tau = Perm.transposition(b + 1, 1, b + 1)
+    for form in enumerate_subgroups(p, k, b):
+        sub = rebuild(form)
+        moved = census._swap_1n(ctx, sub.basis)
+        assert moved == act(tau, sub).basis
+        assert moved == unlift(_swap_columns(ctx, lift(ctx, b, sub.basis), 0))
+
+
 def test_swaps_eliminate_only_when_the_pivot_row_at_c_meets_c_plus_1(monkeypatch):
     # The rule restated from the pivot columns: a swap at c, c+1 runs the
     # elimination exactly when a row pivots at c and is nonzero at c+1;
-    # every other swap is a relabelling.
+    # every other swap is a relabelling.  The walk swaps only adjacent
+    # columns of the subgroups' own bases; (n 1) is ``_swap_1n``.
     def eliminates(basis, c):
         leads = [next(j for j, x in enumerate(r) if x) for r in basis]
         return c in leads and basis[leads.index(c)][c + 1] != 0
@@ -247,7 +267,7 @@ def test_swaps_eliminate_only_when_the_pivot_row_at_c_meets_c_plus_1(monkeypatch
     monkeypatch.setattr(census, "_swap_columns", counting_swap)
     classify(2, 2, 5)
     assert counted == expected
-    assert (len(expected), sum(counted)) == (2023, 596)
+    assert (len(expected), sum(counted)) == (1739, 519)
 
 
 def _partitions(n, largest=None):
@@ -313,7 +333,7 @@ def test_identity_shape_is_trivial_column_permutation(p, k, b):
     shaped = set()
     for form in enumerate_subgroups(p, k, b):
         sub = rebuild(form)
-        is_shaped = census._identity_shape(sub.basis)
+        is_shaped = _identity_shape(sub.basis, ctx.modulus)
         assert is_shaped == canonical_form(sub).colperm.is_identity
         if is_shaped:
             shaped.add(sub.basis)
@@ -340,7 +360,7 @@ def test_identity_bases_sequence_pinned(p, k, b, max_rank, count, digest):
 @pytest.mark.parametrize("walk", ["classify", "enumerate"])
 def test_pending_seeds_left_over_raise(monkeypatch, walk):
     # Bases flagged as seeds that never come up as seeds stay pending.
-    monkeypatch.setattr(census, "_identity_shape", lambda basis: True)
+    monkeypatch.setattr(census, "_identity_shape", lambda basis, n: True)
     with pytest.raises(AssertionError, match="never seeds"):
         if walk == "classify":
             classify(2, 1, 4)

@@ -404,6 +404,60 @@ def test_canonical_form_matches_the_row_major_reference_on_random_spans():
         assert _form_fields(canonical_form(sub)) == canonical_form_reference(sub)
 
 
+@pytest.mark.parametrize("width,rows", [
+    # Row 0 holds 3 at the pivot column of row 1, not below the pivot 2,
+    # so reading the form off would give the cofactor entry 3, out of its
+    # bound [0, 2).
+    (2, ((1, 3), (0, 2))),
+    # More rows than columns, and a zero row.
+    (1, ((2,), (2,))),
+    (2, ((1, 0), (0, 0))),
+])
+def test_canonical_form_of_a_hand_built_basis_that_is_not_howell_eliminates(width, rows):
+    # The constructor checks shape only; these rows look like identity
+    # shape but are not the Howell basis of their span.
+    assert _form_fields(canonical_form(Subgroup(Z4, width, rows))) == (
+        _form_fields(canonical_form(span(Z4, width, rows))))
+
+
+def test_canonical_form_of_hand_built_identity_looking_bases():
+    # Rows with a nonzero diagonal and zeros left of it, their entries drawn
+    # so that each test of ``_identity_shape`` fails now and then: a
+    # diagonal entry that is not a power of p, exponents that decrease, an
+    # entry not divisible by its row's pivot, one not below a later pivot.
+    rng = random.Random(23)
+    for _ in range(3000):
+        p = rng.choice((2, 3, 5))
+        k = rng.randint(1, 3)
+        ctx = ModulusContext(p, k)
+        n = ctx.modulus
+        width = rng.randint(1, 5)
+        rows = []
+        for i in range(rng.randint(0, width)):
+            pe = p ** rng.randrange(k) * rng.choice((1, 1, 1, rng.randrange(1, n)))
+            pe %= n
+            tail = [rng.choice((0, pe * rng.randrange(n) % n, rng.randrange(n)))
+                    for _ in range(width - i - 1)]
+            rows.append((0,) * i + (pe or 1, *tail))
+        sub = Subgroup(ctx, width, tuple(rows))
+        assert _form_fields(canonical_form(sub)) == (
+            _form_fields(canonical_form(span(ctx, width, rows))))
+
+
+@pytest.mark.parametrize("p,k,b", ENUMERATED_GROUPS)
+def test_rebuild_is_the_howell_reduction_of_the_generating_rows(p, k, b):
+    # ``rebuild`` skips the reduction under the identity column
+    # permutation; the seeds are the bases it then returns.
+    ctx = ModulusContext(p, k)
+    for form in enumerate_subgroups(p, k, b):
+        assert rebuild(form).basis == howell_reduce(ctx, b, generating_rows(form))
+    for seed in _identity_bases(ctx, b, max_rank=b):
+        assert howell_reduce(ctx, b, seed) == seed
+        form = canonical_form(Subgroup(ctx, b, seed))
+        assert form.colperm.is_identity
+        assert rebuild(form).basis == howell_reduce(ctx, b, generating_rows(form)) == seed
+
+
 def test_rebuild_rejects_bad_forms():
     with pytest.raises(ValueError):
         CanonicalForm(Z4, 2, 1, (0, 2), ((1, 4), (0, 1)), Perm.identity(2))
@@ -415,8 +469,8 @@ def test_rebuild_rejects_bad_forms():
 
 @pytest.mark.parametrize("p,k,b", [(2, 2, 3), (3, 1, 3), (2, 3, 2)])
 def test_trusted_forms_pass_the_checked_constructor(p, k, b):
-    # canonical_form and omega_normalize skip __post_init__; every form
-    # they build must still satisfy it
+    # canonical_form and omega_normalize skip __post_init__ and Perm's
+    # bijection check; every form they build must still satisfy both
     ctx = ModulusContext(p, k)
     seeds = _identity_bases(ctx, b, max_rank=b)
     forms = [*enumerate_subgroups(p, k, b),
@@ -427,6 +481,7 @@ def test_trusted_forms_pass_the_checked_constructor(p, k, b):
     for form in forms:
         fields = {f.name: getattr(form, f.name) for f in dataclasses.fields(form)}
         assert CanonicalForm(**fields) == form
+        assert Perm(form.colperm.images) == form.colperm
 
 
 def _quotient_order_counts(ctx, width, sub):
