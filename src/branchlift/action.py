@@ -27,10 +27,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .modular import Matrix, Perm
-from .subgroups import (_IDENTITY_PERMS, CanonicalForm, Subgroup, _member, _pivots,
-                        _trusted_form, _trusted_subgroup, canonical_form,
-                        generating_rows, span)
+from .modular import _IDENTITY_PERMS, Matrix, Perm
+from .subgroups import (CanonicalForm, Subgroup, _member, _pivots, _trusted_form,
+                        _trusted_subgroup, canonical_form, generating_rows, span)
 
 __all__ = [
     "OmegaNotIdentityError",

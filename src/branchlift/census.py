@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from array import array
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from pathlib import Path
@@ -35,10 +36,12 @@ from .subgroups import (
     CanonicalForm,
     Subgroup,
     _check_width,
+    _column_swap,
     _identity_shape,
     _member,
     _pivots,
     _reduce_above,
+    _relabel_columns,
     _swap_columns,
     _trusted_subgroup,
     canonical_form,
@@ -228,17 +231,19 @@ def _orbit(ctx: ModulusContext, b: int, seed: Matrix,
     under the point permutations S_n, n = b + 1, walked lazily over the
     subgroups' Howell bases.
 
-    Yields the seed, then each new basis breadth first as soon as it is
-    found, each basis once; each new basis of identity shape
-    (``_identity_shape``) is added to ``pending`` before it is yielded.
-    The walk knows only its own orbit: skipping seeds whose orbit was
-    walked already is the caller's.
+    Yields the seed first, then each new basis as soon as it is found,
+    each basis once; each new basis of identity shape (``_identity_shape``)
+    is added to ``pending`` before it is yielded.  The walk knows only its
+    own orbit: skipping seeds whose orbit was walked already is the
+    caller's.
 
     The generators are (n 1), (1 2), ..., (b-1 b), numbered 0 to b - 1.
     Generator i >= 1 fixes n, so it permutes the coordinates x_j - x_n of
-    (Z/p^k)^b: it swaps columns i - 1 and i of the subgroup's own basis
-    (``_swap_columns``).  Only generator 0 moves n, and ``_swap_1n``
-    computes its image on the same basis.
+    (Z/p^k)^b: it swaps columns i - 1 and i of the subgroup's own basis,
+    by a relabelling (``_relabel_columns``) or, when the row pivoting at
+    column i - 1 meets column i, by an elimination (``_swap_columns``).
+    Only generator 0 moves n, and ``_swap_1n`` computes its image on the
+    same basis.
 
     The walk keeps its Schreier graph: ``elems`` lists the bases in the
     order found, ``index`` numbers them, and ``table[x][i]`` is the number
@@ -252,26 +257,55 @@ def _orbit(ctx: ModulusContext, b: int, seed: Matrix,
     (a word whose first edge is unknown is skipped at once); if every
     letter is known the word ends at s_i x.
 
+    The bases are expanded breadth first, in the order found.  At each
+    unknown edge the walk deduces, else computes (n 1) or tries the
+    relabelling; a swap that needs the elimination is deferred.  The
+    deferred edges are taken in turn, first in first out, only when every
+    basis found is expanded: each is skipped if known by then, deduced if
+    it can be, and only else eliminated.  A new basis found there is
+    expanded at once under the same rule before the next deferred edge.
+    Edges found in the meantime often complete a word, so most deferred
+    eliminations are never run.
+
     A deduced edge never hides a new basis.  A word can only end at a
     basis in the table, which is already indexed; and where it ends, the
     relation makes that basis s_i x.  So when s_i x is new no word
-    completes and the swap is computed.  The bases found, and the order
-    they are found in, are those of the walk that computes every edge.
+    completes and the edge is computed.  The walk ends only when every
+    edge of every basis found is known, so the bases found are closed
+    under the generators: they are the orbit.  The order they are found
+    in depends on which edges were computed, so with the deferral it is
+    not that of a walk that computes every edge; the seed still comes
+    first, and the bases found, hence ``min`` and the size of the orbit
+    and what is added to ``pending``, do not depend on the order.
     """
-    swaps = range(b)
+    gens = range(b)
     words = [
-        [(h, (i, h) * (2 if abs(i - h) == 1 else 1)) for h in swaps if h != i]
-        for i in swaps
+        [(h, (i, h) * (2 if abs(i - h) == 1 else 1)) for h in gens if h != i]
+        for i in gens
     ]
+    swaps = [None, *(_column_swap(b, i - 1) for i in range(1, b))]
     yield seed
     elems = [seed]
     index = {seed: 0}
     table: list[list[int | None]] = [[None] * b]
-    # ``elems`` grows as bases are found; reading it in order is the
-    # breadth-first queue.
-    for x, cur in enumerate(elems):
+    # Deferred edges, each stored as the number x * b + i, 8 bytes each.
+    deferred = array("q")
+    expanded = taken = 0
+    while True:
+        # ``elems`` grows as bases are found; reading it in order is the
+        # breadth-first queue, and the deferred edges wait until it drains.
+        if expanded < len(elems):
+            x, todo, last = expanded, gens, False
+            expanded += 1
+        elif taken < len(deferred):
+            x, i = divmod(deferred[taken], b)
+            todo, last = (i,), True
+            taken += 1
+        else:
+            return
         row = table[x]
-        for i in swaps:
+        cur = elems[x]
+        for i in todo:
             if row[i] is not None:
                 continue
             y = None
@@ -286,13 +320,21 @@ def _orbit(ctx: ModulusContext, b: int, seed: Matrix,
                 else:
                     break
             if y is None:
-                moved = _swap_columns(ctx, cur, i - 1) if i else _swap_1n(ctx, cur)
+                if not i:
+                    moved = _swap_1n(ctx, cur)
+                elif last:
+                    moved = _swap_columns(ctx, cur, i - 1, swaps[i])
+                else:
+                    moved = _relabel_columns(cur, i - 1, swaps[i])
+                    if moved is None:
+                        deferred.append(x * b + i)
+                        continue
                 y = index.get(moved)
                 if y is None:
                     y = index[moved] = len(elems)
                     elems.append(moved)
                     table.append([None] * b)
-                    if _identity_shape(moved, ctx.modulus):
+                    if _identity_shape(moved):
                         pending.add(moved)
                     yield moved
             row[i] = y
@@ -366,10 +408,11 @@ def enumerate_subgroups(p: int, k: int, b: int,
                         bound: int = DEFAULT_BOUND) -> Iterator[CanonicalForm]:
     """Normal forms of all subgroups of (Z/p^k)^b, one per subgroup.
 
-    Forms come in orbits of the point permutations S_(b+1) acting on
-    (Z/p^k)^b as on the homology of the sphere with b + 1 marked points,
-    each orbit breadth first from its first trivial-column-permutation
-    form (``_orbits``), and each form as soon as the walk finds it.
+    Forms come orbit by orbit, the orbits of the point permutations
+    S_(b+1) acting on (Z/p^k)^b as on the homology of the sphere with
+    b + 1 marked points (``_orbits``).  Each orbit starts with its first
+    trivial-column-permutation form, and each form comes as soon as the
+    walk finds it, in the order ``_orbit`` explains.
     """
     ctx = _checked_ring(p, k, b, bound)
     for orbit in _orbits(ctx, b, b):

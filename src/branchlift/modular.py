@@ -125,7 +125,10 @@ class Perm:
 
     @property
     def is_identity(self) -> bool:
-        return self.images == tuple(range(1, self.size + 1))
+        m = len(self.images)
+        if m < len(_IDENTITY_PERMS):
+            return self.images == _IDENTITY_PERMS[m].images
+        return self.images == tuple(range(1, m + 1))
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
@@ -182,6 +185,12 @@ def _trusted_perm(images: tuple[int, ...]) -> Perm:
     perm = object.__new__(Perm)
     perm.images = images
     return perm
+
+
+#: The identity permutation of each size up to that of the points,
+#: MAX_RANK + 1, shared by the forms that have it and read by
+#: ``Perm.is_identity``.
+_IDENTITY_PERMS = tuple(_trusted_perm(tuple(range(1, m + 1))) for m in range(MAX_RANK + 2))
 
 
 def _check_rect(m: Sequence[Sequence[int]]) -> None:

@@ -18,9 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import gcd, prod
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .modular import (
+    _IDENTITY_PERMS,
     MAX_RANK,
     Matrix,
     ModulusContext,
@@ -177,17 +179,24 @@ def _member(vec: Sequence[int], pivots: Iterable[tuple[int, int, Sequence[int]]]
     return not any(_reduce_above(vec, pivots, n))
 
 
-def _swap_columns(ctx: ModulusContext, basis: Matrix, c: int) -> Matrix:
+def _column_swap(width: int, c: int) -> Callable[[Sequence[int]], Vector]:
+    """A getter that reads a row of ``width`` entries with columns c and
+    c+1 swapped, as a tuple."""
+    return itemgetter(*range(c), c + 1, c, *range(c + 2, width))
+
+
+def _relabel_columns(basis: Matrix, c: int,
+                     swap: Callable[[Sequence[int]], Vector]) -> Matrix | None:
     """The Howell basis of the span of ``basis`` with columns c and c+1
-    swapped, for a Howell basis ``basis``; columns count from 0.
+    swapped, for a Howell basis ``basis``, when the swap is a relabelling;
+    None when the row pivoting at c is nonzero at c+1.  Columns count from
+    0, and ``swap`` is ``_column_swap(width, c)``.
 
     Write S for the span, S' for its image under the swap, and split the
     basis by pivot column into A (left of c), B (at c or c+1) and C (right
-    of c+1).
-
-    When no row pivots at c, or the row pivoting at c is zero at c+1, the
-    swap is a relabelling: the two entries trade places in every row, and
-    when rows pivot at both c and c+1 those two rows trade places too.
+    of c+1).  When no row pivots at c, or the row pivoting at c is zero at
+    c+1, the two entries trade places in every row, and when rows pivot
+    at both c and c+1 those two rows trade places too.
 
     * Echelon form and pivot entries.  A row of A keeps its pivot, C is
       zero at c and c+1, and a row of B is zero at the other column of
@@ -209,8 +218,37 @@ def _swap_columns(ctx: ModulusContext, basis: Matrix, c: int) -> Matrix:
       span of C.  So it is spanned by the rows that pivot at or right of
       c+1 after the swap: the old pivot row at c, if any, and C.
 
-    Otherwise the row pivoting at c is nonzero at c+1, and only B is
-    eliminated again, and only on columns c and c+1:
+    The Howell basis of a span is unique, so the result is
+    ``howell_reduce`` of the swapped rows.
+    """
+    d = c + 1
+    rows = []
+    at_c = -1
+    for r in basis:
+        if r[c]:
+            # Rows before the one pivoting at c pivot left of c, and rows
+            # after it vanish at c.
+            if not any(r[:c]):
+                if r[d]:
+                    return None
+                at_c = len(rows)
+            rows.append(swap(r))
+        else:
+            rows.append(swap(r) if r[d] else r)
+    if 0 <= at_c < len(rows) - 1 and basis[at_c + 1][d]:
+        rows[at_c], rows[at_c + 1] = rows[at_c + 1], rows[at_c]
+    return tuple(rows)
+
+
+def _swap_columns(ctx: ModulusContext, basis: Matrix, c: int,
+                  swap: Callable[[Sequence[int]], Vector] | None = None) -> Matrix:
+    """The Howell basis of the span of ``basis`` with columns c and c+1
+    swapped, for a Howell basis ``basis``; columns count from 0, and
+    ``swap``, if given, is ``_column_swap(width, c)``.
+
+    The relabelling (``_relabel_columns``) when it applies.  Otherwise
+    the row pivoting at c is nonzero at c+1, and, with A, B, C, S and S'
+    as there, only B is eliminated again, and only on columns c and c+1:
 
     * C stays as it is.  By the Howell property C spans the elements of
       S vanishing on columns 0..c+1.  The swap maps that set onto the
@@ -241,37 +279,29 @@ def _swap_columns(ctx: ModulusContext, basis: Matrix, c: int) -> Matrix:
     C; the rows of A nonzero at c or c+1 are reduced in ascending column
     order against the new pivots and those of C.  Each subtraction
     changes entries right of its pivot column only, which leaves every
-    entry reduced earlier as it was.
-
-    In both cases the Howell basis of a span is unique, so the result is
+    entry reduced earlier as it was.  By uniqueness the result is
     ``howell_reduce`` of the swapped rows.
     """
+    if swap is None and basis:
+        swap = _column_swap(len(basis[0]), c)
+    moved = _relabel_columns(basis, c, swap)
+    if moved is not None:
+        return moved
     n = ctx.modulus
     d = c + 1
     lo = 0
-    while lo < len(basis) and any(basis[lo][:c]):
+    while any(basis[lo][:c]):
         lo += 1
-    at_c = lo < len(basis) and basis[lo][c]
-    if not (at_c and basis[lo][d]):
-        rows = [r if not (r[c] or r[d]) else (*r[:c], r[d], r[c], *r[d + 1:])
-                for r in basis]
-        if at_c and lo + 1 < len(basis) and basis[lo + 1][d]:
-            rows[lo], rows[lo + 1] = rows[lo + 1], rows[lo]
-        return tuple(rows)
     hi = lo + 1
     while hi < len(basis) and basis[hi][d]:
         hi += 1
     tail = basis[hi:]
     pivots = _pivots(tail)
-    pool = [[*r[:c], r[d], r[c], *r[d + 1:]] for r in basis[lo:hi]]
-    new_pivots, _ = _howell_columns(pool, (c, d), n)
+    new_pivots, _ = _howell_columns([list(swap(r)) for r in basis[lo:hi]], (c, d), n)
     placed = [tuple(_reduce_above(r, pivots, n)) for r in new_pivots]
     pivots[:0] = _pivots(placed)
-    head = [
-        tuple(_reduce_above([*r[:c], r[d], r[c], *r[d + 1:]], pivots, n))
-        if r[c] or r[d] else r
-        for r in basis[:lo]
-    ]
+    head = [tuple(_reduce_above(swap(r), pivots, n)) if r[c] or r[d] else r
+            for r in basis[:lo]]
     return (*head, *placed, *tail)
 
 
@@ -284,8 +314,10 @@ def _check_width(width: int) -> None:
 class Subgroup:
     """A subgroup of (Z/p^k)^width held by its Howell-reduced basis.
 
-    Build instances through ``span`` (or ``rebuild``); the constructor only
-    checks shape, not reducedness.
+    The constructor checks the shape of the rows it is given, canonical
+    residues of the given width, and stores the Howell basis of their
+    span, so every instance holds a Howell basis.  ``span`` takes any
+    integer rows.
     """
 
     ctx: ModulusContext
@@ -300,6 +332,7 @@ class Subgroup:
                 raise ValueError("basis row width mismatch")
             if any(not (0 <= x < n) for x in row):
                 raise ValueError("basis entries must be canonical residues")
+        object.__setattr__(self, "basis", howell_reduce(self.ctx, self.width, self.basis))
 
     def __str__(self) -> str:
         return f"subgroup of ({self.ctx})^{self.width} with {len(self.basis)} basis rows"
@@ -433,44 +466,36 @@ def _trusted_form(ctx: ModulusContext, width: int, rank: int,
     return form
 
 
-#: The identity permutation of each width, shared by the forms that have it.
-_IDENTITY_PERMS = tuple(_trusted_perm(tuple(range(1, m + 1))) for m in range(MAX_RANK + 1))
-
-
-def _identity_shape(basis: Sequence[Sequence[int]], n: int) -> bool:
-    """Whether the rows ``basis``, canonical residues modulo n = p^k, have
-    identity shape: row i vanishes left of column i and has a power of p,
-    p^(e_i), there, e is weakly increasing, every entry of row i is
-    divisible by p^(e_i), and the entry of row i at each later pivot
-    column j lies below the pivot p^(e_j).
+def _identity_shape(basis: Matrix) -> bool:
+    """Whether the Howell basis ``basis`` has identity shape: row i
+    pivots at column i with entry p^(e_i), e is weakly increasing, and
+    every entry of row i is divisible by p^(e_i).
 
     Such rows are p^(e_i) U_i for the form (e, U, id) that
-    ``canonical_form`` reads off them, and they are the Howell basis of
-    their span (see there); on Howell bases these are exactly the bases
-    ``census._identity_bases`` emits.  A pivot 0 < p^e < n is a power of
-    p exactly when it divides n, and a power of p divides the next pivot
-    exactly when its exponent is not larger.
+    ``canonical_form`` reads off them (see there); these are exactly the
+    bases ``census._identity_bases`` emits.  Every ``Subgroup`` holds a
+    Howell basis, so each pivot is a power of p, entries left of it
+    vanish, and the entry of row i at a later pivot column j lies below
+    that pivot; none of these needs a test here.  A power of p divides
+    the next pivot exactly when its exponent is not larger.
 
     Pivot columns of a Howell basis strictly increase, so every row i
     pivots at column i exactly when the last row r - 1 does, that is when
     its entry at column r - 1 is nonzero: the first test, which rejects
-    most bases at once.  The other tests make the check exact on any
-    rows, so a ``Subgroup`` built by hand, whose constructor checks only
-    shape, takes the shortcut only when it is reduced.
+    most bases at once.
     """
     r = len(basis)
-    if r and (r > len(basis[0]) or not basis[-1][r - 1]):
+    if r and not basis[-1][r - 1]:
         return False
     last = 1
     for i, row in enumerate(basis):
         pe = row[i]
-        if not pe or n % pe or pe % last or any(row[:i]):
+        if pe % last:
             return False
-        if pe > 1 and any(x % pe for x in row):
-            return False
-        for above in basis[:i]:
-            if above[i] >= pe:
-                return False
+        if pe != 1:
+            for x in row:
+                if x % pe:
+                    return False
         last = pe
     return True
 
@@ -553,7 +578,7 @@ def canonical_form(sub: Subgroup) -> CanonicalForm:
     """
     ctx, m = sub.ctx, sub.width
     p, k, n = ctx.p, ctx.k, ctx.modulus
-    if _identity_shape(sub.basis, n):
+    if _identity_shape(sub.basis):
         rank = len(sub.basis)
         pes = [row[i] for i, row in enumerate(sub.basis)]
         upper = [tuple([x // pe for x in row]) for row, pe in zip(sub.basis, pes)]

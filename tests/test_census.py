@@ -120,10 +120,11 @@ def test_generators_are_involutions():
 
 
 @pytest.mark.parametrize(
-    "walk,p,k,b,swaps",
-    [("classify", 2, 2, 4, 2023), ("enumerate", 2, 2, 3, 158), ("enumerate", 3, 1, 3, 38)],
+    "walk,p,k,b,steps",
+    [("classify", 2, 2, 4, 2130), ("enumerate", 2, 2, 3, 165), ("enumerate", 3, 1, 3, 39)],
+    ids=["classify-2-2-4", "enumerate-2-2-3", "enumerate-3-1-3"],
 )
-def test_orbit_walk_swaps_only_undeduced_edges(monkeypatch, walk, p, k, b, swaps):
+def test_orbit_walk_swaps_only_undeduced_edges(monkeypatch, walk, p, k, b, steps):
     # The walked subgroups and generators, listed without the walk.  Both
     # walks use the transpositions (n 1), (1 2), ..., (b-1 b): the direct
     # (n 1) step and the adjacent column swaps.  The census walks the
@@ -147,24 +148,35 @@ def test_orbit_walk_swaps_only_undeduced_edges(monkeypatch, walk, p, k, b, swaps
         for y in ys:
             root[find(y)] = find(x)
     orbits = len({find(x) for x in images})
+    # The steps computed: relabellings that succeed, eliminations and
+    # (n 1) steps.  A relabelling that declines defers its edge and
+    # computes nothing.
     calls = []
+    real_relabel = census._relabel_columns
     real_swap, real_swap_1n = census._swap_columns, census._swap_1n
 
-    def counting_swap(ctx, basis, c):
+    def counting_relabel(basis, c, swap):
+        moved = real_relabel(basis, c, swap)
+        if moved is not None:
+            calls.append(c + 1)
+        return moved
+
+    def counting_swap(ctx, basis, c, swap=None):
         calls.append(c + 1)
-        return real_swap(ctx, basis, c)
+        return real_swap(ctx, basis, c, swap)
 
     def counting_swap_1n(ctx, basis):
         calls.append(0)
         return real_swap_1n(ctx, basis)
 
+    monkeypatch.setattr(census, "_relabel_columns", counting_relabel)
     monkeypatch.setattr(census, "_swap_columns", counting_swap)
     monkeypatch.setattr(census, "_swap_1n", counting_swap_1n)
     if walk == "classify":
         assert classify(p, k, b + 1).subgroups_seen == len(walked)
     else:
         assert sum(1 for _ in enumerate_subgroups(p, k, b)) == len(walked)
-    assert len(calls) == swaps
+    assert len(calls) == steps
     # Swapping each edge once costs one swap per fixed pair and one per
     # other edge for its two ends; the relations deduce some of those
     # edges.  Every subgroup but an orbit's seed is found by a swap.
@@ -173,10 +185,9 @@ def test_orbit_walk_swaps_only_undeduced_edges(monkeypatch, walk, p, k, b, swaps
 
 def _reference_orbit(ctx, seed):
     """Breadth-first orbit of ``seed`` that swaps along every edge and
-    deduces none, in the order the bases are found."""
+    deduces none."""
     seen = {seed}
     queue = deque([seed])
-    out = [seed]
     while queue:
         cur = queue.popleft()
         for c in range(len(seed[0]) - 1):
@@ -184,8 +195,7 @@ def _reference_orbit(ctx, seed):
             if moved not in seen:
                 seen.add(moved)
                 queue.append(moved)
-                out.append(moved)
-    return out
+    return seen
 
 
 @pytest.mark.parametrize("p,k,b", ENUMERATED_GROUPS)
@@ -193,11 +203,15 @@ def test_orbit_walk_matches_reference_on_subgroups(p, k, b):
     # The seeds of every rank: the census walks those of rank below b, the
     # enumeration all of them.  The reference swaps every edge of the
     # lifted walk (``conftest.lift``); read through the unlift it is the
-    # walk over the subgroups' own bases.
+    # walk over the subgroups' own bases.  The walk defers eliminations,
+    # so the order it finds bases in is its own: the seed comes first, and
+    # each basis of the orbit comes once.
     ctx = ModulusContext(p, k)
     for seed in census._identity_bases(ctx, b, max_rank=b):
         walked = list(census._orbit(ctx, b, seed, set()))
-        assert walked == [unlift(x) for x in _reference_orbit(ctx, lift(ctx, b, seed))]
+        assert walked[0] == seed
+        assert len(set(walked)) == len(walked)
+        assert set(walked) == {unlift(x) for x in _reference_orbit(ctx, lift(ctx, b, seed))}
 
 
 @pytest.mark.parametrize("p,k,b", [(2, 2, 3), (3, 1, 3)])
@@ -212,7 +226,7 @@ def test_lifted_swaps_act_as_transpositions(p, k, b):
         lifted = lift(ctx, b, sub.basis)
         assert howell_reduce(ctx, b + 1, lifted) == lifted
         assert unlift(lifted) == sub.basis
-        assert _identity_shape(lifted, ctx.modulus) == _identity_shape(sub.basis, ctx.modulus)
+        assert _identity_shape(lifted) == _identity_shape(sub.basis)
         for c, tau in enumerate(taus):
             moved = act(tau, sub).basis
             swapped = _swap_columns(ctx, lifted, c)
@@ -241,7 +255,10 @@ def test_swaps_eliminate_only_when_the_pivot_row_at_c_meets_c_plus_1(monkeypatch
     # The rule restated from the pivot columns: a swap at c, c+1 runs the
     # elimination exactly when a row pivots at c and is nonzero at c+1;
     # every other swap is a relabelling.  The walk swaps only adjacent
-    # columns of the subgroups' own bases; (n 1) is ``_swap_1n``.
+    # columns of the subgroups' own bases, and (n 1) is ``_swap_1n``.  It
+    # eliminates only at a deferred slot that is still open: the
+    # relabelling declined there earlier, and neither end of the edge has
+    # been computed since.
     def eliminates(basis, c):
         leads = [next(j for j, x in enumerate(r) if x) for r in basis]
         return c in leads and basis[leads.index(c)][c + 1] != 0
@@ -253,21 +270,38 @@ def test_swaps_eliminate_only_when_the_pivot_row_at_c_meets_c_plus_1(monkeypatch
         calls.append(args)
         return real_columns(*args)
 
+    declined, computed = set(), set()
+    real_relabel = census._relabel_columns
+
+    def recording_relabel(basis, c, swap):
+        moved = real_relabel(basis, c, swap)
+        if moved is None:
+            declined.add((basis, c))
+        else:
+            computed.update({(basis, c), (moved, c)})
+        assert moved is None or not eliminates(basis, c)
+        return moved
+
     expected, counted = [], []
     real_swap = census._swap_columns
 
-    def counting_swap(ctx, basis, c):
+    def counting_swap(ctx, basis, c, swap=None):
+        assert (basis, c) in declined and (basis, c) not in computed
         expected.append(eliminates(basis, c))
         before = len(calls)
-        moved = real_swap(ctx, basis, c)
+        moved = real_swap(ctx, basis, c, swap)
         counted.append(len(calls) - before)
+        assert (moved, c) not in computed
+        computed.update({(basis, c), (moved, c)})
         return moved
 
     monkeypatch.setattr(subgroups, "_howell_columns", counting_columns)
+    monkeypatch.setattr(census, "_relabel_columns", recording_relabel)
     monkeypatch.setattr(census, "_swap_columns", counting_swap)
     classify(2, 2, 5)
     assert counted == expected
-    assert (len(expected), sum(counted)) == (1739, 519)
+    assert all(expected)
+    assert (len(declined), len(expected), sum(counted)) == (1227, 201, 201)
 
 
 def _partitions(n, largest=None):
@@ -333,7 +367,7 @@ def test_identity_shape_is_trivial_column_permutation(p, k, b):
     shaped = set()
     for form in enumerate_subgroups(p, k, b):
         sub = rebuild(form)
-        is_shaped = _identity_shape(sub.basis, ctx.modulus)
+        is_shaped = _identity_shape(sub.basis)
         assert is_shaped == canonical_form(sub).colperm.is_identity
         if is_shaped:
             shaped.add(sub.basis)
@@ -360,7 +394,7 @@ def test_identity_bases_sequence_pinned(p, k, b, max_rank, count, digest):
 @pytest.mark.parametrize("walk", ["classify", "enumerate"])
 def test_pending_seeds_left_over_raise(monkeypatch, walk):
     # Bases flagged as seeds that never come up as seeds stay pending.
-    monkeypatch.setattr(census, "_identity_shape", lambda basis, n: True)
+    monkeypatch.setattr(census, "_identity_shape", lambda basis: True)
     with pytest.raises(AssertionError, match="never seeds"):
         if walk == "classify":
             classify(2, 1, 4)

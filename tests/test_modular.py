@@ -109,6 +109,19 @@ def test_perm_basics():
         Perm([1, 1, 2])
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 5, 17, 40])
+def test_perm_is_identity_at_every_size(m):
+    # Each size is asked twice, so the second answer comes from the
+    # identity images kept for that size.
+    for _ in range(2):
+        assert Perm.identity(m).is_identity
+        assert Perm(range(1, m + 1)).is_identity
+        for a in range(1, m):
+            assert not Perm.transposition(m, a, a + 1).is_identity
+        if m > 2:
+            assert not Perm([*range(2, m + 1), 1]).is_identity
+
+
 def test_elementary_matrix():
     assert elementary_matrix(1, 1, 2) == ((1, 0), (0, 0))
     assert elementary_matrix(1, 2, 2) == ((0, 1), (0, 0))

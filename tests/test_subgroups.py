@@ -99,6 +99,29 @@ def test_trusted_span_keeps_its_guards():
             assert sub == direct and hash(sub) == hash(direct)
 
 
+@pytest.mark.parametrize("width,rows", [
+    (1, ((2,), (2,))),
+    (2, ((1, 3), (0, 2))),
+    (2, ((2, 2), (0, 2), (2, 0))),
+    (3, ((0, 0, 0), (1, 2, 3))),
+])
+def test_constructor_stores_the_howell_basis(width, rows):
+    # ``order``, ``equal`` and ``elements`` read the stored basis as a
+    # Howell basis, so a hand-built instance must hold one: (2), (2) spans
+    # the 2 elements {0, 2} of Z/4, and (1, 3), (0, 2) the same subgroup
+    # as its own span.
+    sub = Subgroup(Z4, width, rows)
+    assert sub.basis == howell_reduce(Z4, width, rows)
+    assert equal(sub, span(Z4, width, rows))
+    assert order(sub) == len(brute_span(Z4, width, rows))
+    assert set(elements(sub)) == brute_span(Z4, width, rows)
+
+
+def test_hand_built_subgroups_count_their_own_elements():
+    assert order(Subgroup(Z4, 1, ((2,), (2,)))) == 2
+    assert equal(Subgroup(Z4, 2, ((1, 3), (0, 2))), span(Z4, 2, [(1, 3), (0, 2)]))
+
+
 def test_howell_examples():
     assert howell_reduce(Z4, 2, [[0, 0]]) == ()
     assert howell_reduce(Z4, 2, [[1, 0], [0, 1]]) == ((1, 0), (0, 1))
@@ -414,17 +437,20 @@ def test_canonical_form_matches_the_row_major_reference_on_random_spans():
     (2, ((1, 0), (0, 0))),
 ])
 def test_canonical_form_of_a_hand_built_basis_that_is_not_howell_eliminates(width, rows):
-    # The constructor checks shape only; these rows look like identity
-    # shape but are not the Howell basis of their span.
+    # These rows look like identity shape but are not the Howell basis of
+    # their span; the constructor reduces them, so the form is that of
+    # the span.
     assert _form_fields(canonical_form(Subgroup(Z4, width, rows))) == (
         _form_fields(canonical_form(span(Z4, width, rows))))
 
 
 def test_canonical_form_of_hand_built_identity_looking_bases():
     # Rows with a nonzero diagonal and zeros left of it, their entries drawn
-    # so that each test of ``_identity_shape`` fails now and then: a
+    # so that identity shape fails now and then before the reduction: a
     # diagonal entry that is not a power of p, exponents that decrease, an
     # entry not divisible by its row's pivot, one not below a later pivot.
+    # ``_identity_shape`` tests only what a Howell basis leaves open, so
+    # this passes because the constructor stores the Howell basis.
     rng = random.Random(23)
     for _ in range(3000):
         p = rng.choice((2, 3, 5))
