@@ -10,14 +10,18 @@ compares the liftable classes against a closed-form prediction:
             p^(k-r) | n;
   family 3: deck group Z/p^k with p^k | n, all loop images 1.
 
-The census and ``enumerate_subgroups`` share one walk: the orbits of the
-point permutations S_n on the subgroups of (Z/p^k)^b, b = n - 1, each
-found once by one seed loop (``_orbits``) and walked over the
-subgroups' own Howell bases (``_orbit``).  The transpositions (1 2), ...,
-(b-1 b) that generate S_n with (n 1) are adjacent column swaps there;
-(n 1), the only one that moves point n, rewrites at most the first basis
-row (``_swap_1n``).  A class is fully liftable exactly when its orbit is
-a single subgroup.
+The census walks the orbits of the point permutations S_n on the
+subgroups of (Z/p^k)^b, b = n - 1, each found once by one seed loop
+(``_orbits``) and walked over the subgroups' own Howell bases
+(``_orbit``).  The transpositions (1 2), ..., (b-1 b) that generate S_n
+with (n 1) are adjacent column swaps there; (n 1), the only one that
+moves point n, rewrites at most the first basis row (``_swap_1n``).  A
+class is fully liftable exactly when its orbit is a single subgroup.
+
+``enumerate_subgroups`` walks no orbit.  It starts from the census's
+seeds, the identity-shape bases (``_identity_bases``), and writes down
+each seed's normal forms directly, one per linear extension of the
+seed's tie order.
 """
 
 from __future__ import annotations
@@ -31,18 +35,20 @@ from itertools import combinations_with_replacement, product
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .modular import Matrix, ModulusContext, Perm
+from .modular import Matrix, ModulusContext, Perm, Vector, _trusted_perm
 from .subgroups import (
     CanonicalForm,
     Subgroup,
     _check_width,
     _column_swap,
     _identity_shape,
+    _identity_tail,
     _member,
     _pivots,
     _reduce_above,
     _relabel_columns,
     _swap_columns,
+    _trusted_form,
     _trusted_subgroup,
     canonical_form,
     order,
@@ -134,20 +140,36 @@ def check_grid(points: Sequence[tuple[int, int, int]], bound: int = DEFAULT_BOUN
         check_point(p, k, n, bound)
 
 
+def _seed_rows(ctx: ModulusContext, width: int,
+                   max_rank: int) -> Iterator[tuple[tuple[int, ...], list[list[Vector]]]]:
+    """``(e, rows)`` for each exponent vector e of rank at most
+    ``max_rank``: ``rows[i]`` lists the choices for row i of the bases
+    ``_identity_bases`` emits for e, whose product they are; see there."""
+    p, k = ctx.p, ctx.k
+    for rank in range(max_rank + 1):
+        for exps in combinations_with_replacement(range(k), rank):
+            full = exps + (k,) * (width - rank)
+            yield exps, [
+                [(0,) * i + (p ** e, *tail)
+                 for tail in product(*(range(0, p ** f, p ** e) for f in full[i + 1:]))]
+                for i, e in enumerate(exps)
+            ]
+
+
 def _identity_bases(ctx: ModulusContext, width: int, max_rank: int) -> Iterator[Matrix]:
     """The Howell bases of the spans of all normal forms (e, U, id) with
     trivial column permutation, in a fixed order; row i is p^(e_i) U_i.
 
-    For each exponent vector e the choices for each row are built once:
-    row i is (0,)*i + (p^(e_i), *tail), where the tail entry at column j
-    runs over the multiples of p^(e_i) below p^(f_j), f_j = e_j within
-    the rank and k past it.  The bases are the product of those row
-    lists, so no row is built per basis.  Only forms of rank at most
-    ``max_rank`` are emitted; below the width that keeps the subgroups
-    whose quotient has exponent exactly p^k.  Cofactor entries range over
-    their full bounds 0 <= U[i][j] < p^(f_j - e_i), so by the normal-form
-    theorem every such subgroup is a column permutation of an emitted
-    span.
+    For each exponent vector e the choices for each row are built once
+    (``_seed_rows``): row i is (0,)*i + (p^(e_i), *tail), where the
+    tail entry at column j runs over the multiples of p^(e_i) below
+    p^(f_j), f_j = e_j within the rank and k past it.  The bases are
+    the product of those row lists, so no row is built per basis.  Only
+    forms of rank at most ``max_rank`` are emitted; below the width that
+    keeps the subgroups whose quotient has exponent exactly p^k.
+    Cofactor entries range over their full bounds
+    0 <= U[i][j] < p^(f_j - e_i), so by the normal-form theorem every
+    such subgroup is a column permutation of an emitted span.
 
     The order is the row-major product over the cofactor cells, the
     first cell outermost: ``product`` over the row lists runs the first
@@ -163,16 +185,8 @@ def _identity_bases(ctx: ModulusContext, width: int, max_rank: int) -> Iterator[
     distinct spans: ``canonical_form`` proves the first and reads the
     form back off the unique Howell basis of the span.
     """
-    p, k = ctx.p, ctx.k
-    for rank in range(max_rank + 1):
-        for exps in combinations_with_replacement(range(k), rank):
-            full = exps + (k,) * (width - rank)
-            rows = [
-                [(0,) * i + (p ** e, *tail)
-                 for tail in product(*(range(0, p ** f, p ** e) for f in full[i + 1:]))]
-                for i, e in enumerate(exps)
-            ]
-            yield from product(*rows)
+    for _, rows in _seed_rows(ctx, width, max_rank):
+        yield from product(*rows)
 
 
 def _check_drained(pending: set[Matrix]) -> None:
@@ -404,20 +418,138 @@ def _orbits(ctx: ModulusContext, b: int, max_rank: int) -> Iterator[Iterator[Mat
     _check_drained(pending)
 
 
+def _tie_order(ties: Sequence[int], width: int) -> list[int]:
+    """The predecessor masks of the tie order of a seed: bit i of entry j
+    is set when position i must come before position j.  ``ties[i]``,
+    one per row below the rank, holds position i and the positions j > i
+    it must precede; the positions from the rank on form a chain."""
+    pred = [0] * width
+    for i, tie in enumerate(ties):
+        for j in range(i + 1, width):
+            if tie >> j & 1:
+                pred[j] |= 1 << i
+    for j in range(len(ties) + 1, width):
+        pred[j] |= 1 << (j - 1)
+    return pred
+
+
+def _linear_extensions(pred: Sequence[int]) -> list[Perm]:
+    """The linear extensions of the order on the positions 0, ..., m - 1
+    whose predecessor masks are ``pred``, m = len(pred), each as the
+    permutation whose image of column c, counting from 1, is one more
+    than the position written at column c.  They come in lexicographic
+    order of the images, each once: column c takes, in ascending order,
+    every position not yet written whose predecessors all are."""
+    m = len(pred)
+    out: list[Perm] = []
+    images = [0] * m
+
+    def place(c: int, used: int) -> None:
+        if c == m:
+            out.append(_trusted_perm(tuple(images)))
+            return
+        for j in range(m):
+            if not used >> j & 1 and pred[j] & used == pred[j]:
+                images[c] = j + 1
+                place(c + 1, used | 1 << j)
+
+    place(0, 0)
+    return out
+
+
 def enumerate_subgroups(p: int, k: int, b: int,
                         bound: int = DEFAULT_BOUND) -> Iterator[CanonicalForm]:
-    """Normal forms of all subgroups of (Z/p^k)^b, one per subgroup.
+    """Normal forms of all subgroups of (Z/p^k)^b, one per subgroup,
+    written down without walking an orbit or eliminating.
 
-    Forms come orbit by orbit, the orbits of the point permutations
-    S_(b+1) acting on (Z/p^k)^b as on the homology of the sphere with
-    b + 1 marked points (``_orbits``).  Each orbit starts with its first
-    trivial-column-permutation form, and each form comes as soon as the
-    walk finds it, in the order ``_orbit`` explains.
+    Forms come seed by seed, in the order of ``_identity_bases``: each
+    identity seed (e, U) gives the forms (e, U, pi), where pi runs over
+    the linear extensions of the seed's tie order on the positions
+    0, ..., b - 1, in lexicographic order of pi's images, so the seed's
+    own form (e, U, id) comes first.  Position i precedes j > i when some
+    row t >= i of U with e_t = e_i has U[t][j] % p != 0 (with t = j this
+    chains the positions of equal exponent), and the positions from the
+    rank on keep their order.  The extension lists are built once per
+    tie order in one call.
+
+    Write r for the rank, S for the span of the rows p^(e_i) U_i and
+    S_pi for its image in which column c of the ambient group holds
+    position pi(c) - 1, so that ``rebuild((e, U, pi))`` is S_pi; c_i
+    names the column holding position i.
+
+    1. Every emitted form is ``canonical_form`` of its subgroup.  The
+       rows p^(e_i) U_i are the Howell basis of S in position order (see
+       ``canonical_form``).  By induction on i, the elimination of S_pi
+       places its pivot of step i at column c_i with valuation e_i.
+       Before step i the pool spans the elements of S_pi vanishing at
+       c_0, ..., c_(i-1): placed row u vanishes at the pivot columns
+       before c_u and is divisible by its pivot, so in such an element
+       its multiple, read at c_0, c_1, ... in turn, is zero.  Read in
+       position order these are the elements of S vanishing at the
+       positions below i, spanned by the rows t >= i.  Each of those is
+       divisible by p^(e_t), a multiple of p^(e_i), and row i holds
+       p^(e_i) at position i, so the least valuation is e_i.  A column
+       reaches it in the remaining pool exactly where it does in the
+       remaining span, as the pool lies in the span and spans it: at
+       position j exactly when some row t >= i with e_t = e_i has
+       U[t][j] % p != 0, that is at i and at the positions i precedes.
+       Ties go to the smallest column, and pi, an extension, puts c_i
+       before the columns of those positions, so the pivot is at c_i.
+       After r steps the pool is empty, and the columns left are
+       appended in ascending order, which holds the positions from r on
+       in their order, as pi keeps them.  So the column order is pi and
+       the exponents are e.  The placed rows, read in position order, are
+       a basis of S in echelon form, each divisible by its pivot p^(e_i)
+       and reduced above the later pivots: the Howell basis of S, which
+       is unique.  So they are the rows p^(e_i) U_i, and the form is
+       (e, U, pi).
+    2. Distinct extensions give distinct subgroups.  Two emitted forms
+       with one subgroup are both ``canonical_form`` of it by 1, so they
+       are equal, and the seed and pi are read off them.
+
+    Every subgroup comes: its form (e, U, pi) has (e, U, id) among the
+    seeds, which range over every exponent vector and every cofactor
+    within bounds, and the elimination of 1 run on it shows that pi puts
+    c_i before the column of every position i precedes, and the columns
+    from the rank on in ascending order: pi is an extension of the
+    seed's tie order.
     """
     ctx = _checked_ring(p, k, b, bound)
-    for orbit in _orbits(ctx, b, b):
-        for x in orbit:
-            yield canonical_form(_trusted_subgroup(ctx, b, x))
+    extensions: dict[tuple[int, ...], list[Perm]] = {}
+    for exps, rows in _seed_rows(ctx, b, b):
+        rank = len(exps)
+        full = exps + (k,) * (b - rank)
+        below = _identity_tail(b, rank)
+        # For each choice of row i: U_i, and the mask of the positions
+        # j >= i where U_i[j] is a unit, so p^(e_i) U_i[j] has valuation e_i.
+        choices = []
+        for i, (e, row_list) in enumerate(zip(exps, rows)):
+            pe = p ** e
+            choice = []
+            for row in row_list:
+                u = tuple([x // pe for x in row])
+                mask = 0
+                for j in range(i, b):
+                    if u[j] % p:
+                        mask |= 1 << j
+                choice.append((u, mask))
+            choices.append(choice)
+        # Rows i and i + 1 share an exponent, so row i's ties take in
+        # those of row i + 1.
+        chained = [i + 1 < rank and exps[i + 1] == exps[i] for i in range(rank)]
+        ties = [0] * rank
+        for picked in product(*choices):
+            tie = 0
+            for i in range(rank - 1, -1, -1):
+                tie = picked[i][1] | tie if chained[i] else picked[i][1]
+                ties[i] = tie
+            key = tuple(ties)
+            perms = extensions.get(key)
+            if perms is None:
+                perms = extensions[key] = _linear_extensions(_tie_order(key, b))
+            upper = (*(u for u, _ in picked), *below)
+            for perm in perms:
+                yield _trusted_form(ctx, b, rank, full, upper, perm)
 
 
 @dataclass(frozen=True)

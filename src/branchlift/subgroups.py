@@ -604,11 +604,17 @@ def canonical_form(sub: Subgroup) -> CanonicalForm:
             images[c] = pos
         colperm = _trusted_perm(tuple(images))
     exps = [_val(pe, p, k) for pe in pes] + [k] * (m - rank)
+    upper += _identity_tail(m, rank)
+    return _trusted_form(ctx, m, rank, tuple(exps), tuple(upper), colperm)
+
+
+def _identity_tail(m: int, rank: int) -> Matrix:
+    """Rows rank, ..., m - 1 of the m x m identity matrix: the cofactor
+    rows of a normal form past its rank."""
     # The length-m window of ident starting m-1-i places before its 1 is
     # row i of the identity.
     ident = (0,) * (m - 1) + (1,) + (0,) * (m - 1)
-    upper += [ident[m - 1 - i:2 * m - 1 - i] for i in range(rank, m)]
-    return _trusted_form(ctx, m, rank, tuple(exps), tuple(upper), colperm)
+    return tuple(ident[m - 1 - i:2 * m - 1 - i] for i in range(rank, m))
 
 
 def generating_rows(form: CanonicalForm) -> Matrix:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import re
 import tracemalloc
@@ -129,7 +130,9 @@ def test_orbit_walk_swaps_only_undeduced_edges(monkeypatch, walk, p, k, b, steps
     # walks use the transpositions (n 1), (1 2), ..., (b-1 b): the direct
     # (n 1) step and the adjacent column swaps.  The census walks the
     # forms of rank below b, whose quotient has exponent exactly p^k; the
-    # enumeration walks every subgroup.
+    # full-rank walk ``_orbits(ctx, b, b)``, the ``enumerate`` cases,
+    # walks every subgroup.  ``enumerate_subgroups`` writes its forms down
+    # without a walk, so the full-rank walk is driven directly.
     walked = [rebuild(f) for f in enumerate_subgroups(p, k, b)
               if walk == "enumerate" or f.rank < b]
     gens = [Perm.transposition(b + 1, b + 1, 1)]
@@ -175,7 +178,8 @@ def test_orbit_walk_swaps_only_undeduced_edges(monkeypatch, walk, p, k, b, steps
     if walk == "classify":
         assert classify(p, k, b + 1).subgroups_seen == len(walked)
     else:
-        assert sum(1 for _ in enumerate_subgroups(p, k, b)) == len(walked)
+        orbits_walked = census._orbits(ModulusContext(p, k), b, b)
+        assert sum(1 for orbit in orbits_walked for _ in orbit) == len(walked)
     assert len(calls) == steps
     # Swapping each edge once costs one swap per fixed pair and one per
     # other edge for its two ends; the relations deduce some of those
@@ -359,6 +363,70 @@ def test_enumerate_emits_distinct_subgroups(p, k, b):
     assert len(seen) == subgroup_count(p, k, b)
 
 
+def _seed_of(form):
+    """The rows p^(e_i) U_i of the form's own identity seed."""
+    p, n = form.ctx.p, form.ctx.modulus
+    return tuple(tuple(p ** e * x % n for x in row)
+                 for e, row in zip(form.exponents[:form.rank], form.upper))
+
+
+@pytest.mark.parametrize("p,k,b", [(2, 2, 2), *ENUMERATED_GROUPS])
+def test_enumerate_covers_each_column_permutation_orbit_once(p, k, b):
+    # Oracle: all b! column permutations of each seed's span, reduced,
+    # with no tie order.  A seed's images can hold other seeds (over Z/5,
+    # swapping the columns of the span of (1, 2) gives that of (1, 3)), so
+    # the count is taken per orbit of the column permutations: the forms
+    # of the seeds in an orbit rebuild to distinct members of it, as many
+    # as it has.  The forms of a seed come together, in seed order.
+    ctx = ModulusContext(p, k)
+    per_seed, order_seen = {}, []
+    for form in enumerate_subgroups(p, k, b):
+        seed = _seed_of(form)
+        if seed not in per_seed:
+            per_seed[seed] = []
+            order_seen.append(seed)
+        per_seed[seed].append(rebuild(form).basis)
+    seeds = list(census._identity_bases(ctx, b, max_rank=b))
+    assert order_seen == seeds
+    orbits = {}
+    for seed in seeds:
+        images = frozenset(
+            howell_reduce(ctx, b, [tuple(row[c] for c in cols) for row in seed])
+            for cols in itertools.permutations(range(b))
+        )
+        assert set(per_seed[seed]) <= images
+        orbits.setdefault(images, []).extend(per_seed[seed])
+    for images, emitted in orbits.items():
+        assert len(emitted) == len(set(emitted)) == len(images)
+
+
+@pytest.mark.parametrize("p,k,b", [(2, 2, 2), *ENUMERATED_GROUPS, (2, 1, 5), (3, 2, 2)])
+def test_enumerated_forms_are_canonical(p, k, b):
+    # Each form is, field by field (dataclass equality), the one
+    # ``canonical_form`` eliminates its subgroup to; the seed's own form
+    # comes first.
+    last_seed = None
+    for form in enumerate_subgroups(p, k, b):
+        assert canonical_form(rebuild(form)) == form
+        seed = _seed_of(form)
+        if seed != last_seed:
+            assert form.colperm.is_identity
+            last_seed = seed
+
+
+@pytest.mark.parametrize("p,k,b", [(2, 2, 2), *ENUMERATED_GROUPS])
+def test_enumerated_forms_are_those_of_the_full_rank_walk(p, k, b):
+    ctx = ModulusContext(p, k)
+    walked = {
+        canonical_form(census._trusted_subgroup(ctx, b, basis))
+        for orbit in census._orbits(ctx, b, b)
+        for basis in orbit
+    }
+    forms = list(enumerate_subgroups(p, k, b))
+    assert len(set(forms)) == len(forms)
+    assert set(forms) == walked
+
+
 @pytest.mark.parametrize("p,k,b", ENUMERATED_GROUPS)
 def test_identity_shape_is_trivial_column_permutation(p, k, b):
     # Oracles: the normal form's column permutation, and the bases
@@ -394,12 +462,15 @@ def test_identity_bases_sequence_pinned(p, k, b, max_rank, count, digest):
 @pytest.mark.parametrize("walk", ["classify", "enumerate"])
 def test_pending_seeds_left_over_raise(monkeypatch, walk):
     # Bases flagged as seeds that never come up as seeds stay pending.
+    # The ``enumerate`` case drives the full-rank walk over every subgroup
+    # of (Z/2)^3.
     monkeypatch.setattr(census, "_identity_shape", lambda basis: True)
     with pytest.raises(AssertionError, match="never seeds"):
         if walk == "classify":
             classify(2, 1, 4)
         else:
-            sum(1 for _ in enumerate_subgroups(2, 1, 3))
+            orbits = census._orbits(ModulusContext(2, 1), 3, 3)
+            sum(1 for orbit in orbits for _ in orbit)
 
 
 def test_census_memory_follows_the_largest_orbit():

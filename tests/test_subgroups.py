@@ -495,8 +495,9 @@ def test_rebuild_rejects_bad_forms():
 
 @pytest.mark.parametrize("p,k,b", [(2, 2, 3), (3, 1, 3), (2, 3, 2)])
 def test_trusted_forms_pass_the_checked_constructor(p, k, b):
-    # canonical_form and omega_normalize skip __post_init__ and Perm's
-    # bijection check; every form they build must still satisfy both
+    # canonical_form, omega_normalize and enumerate_subgroups skip
+    # __post_init__ and Perm's bijection check; every form they build
+    # must still satisfy both
     ctx = ModulusContext(p, k)
     seeds = _identity_bases(ctx, b, max_rank=b)
     forms = [*enumerate_subgroups(p, k, b),
