@@ -473,7 +473,7 @@ def _identity_shape(basis: Matrix) -> bool:
 
     Such rows are p^(e_i) U_i for the form (e, U, id) that
     ``canonical_form`` reads off them (see there); these are exactly the
-    bases ``census._identity_bases`` emits.  Every ``Subgroup`` holds a
+    bases ``orbits._identity_bases`` emits.  Every ``Subgroup`` holds a
     Howell basis, so each pivot is a power of p, entries left of it
     vanish, and the entry of row i at a later pivot column j lies below
     that pivot; none of these needs a test here.  A power of p divides

@@ -22,7 +22,7 @@ from branchlift import (
     span,
     swap_with_last,
 )
-from branchlift.census import _identity_bases
+from branchlift.orbits import _identity_bases
 from conftest import (
     ENUMERATED_GROUPS,
     all_perms,

@@ -37,8 +37,9 @@ from branchlift import (
     verify_classification,
     write_atlas,
 )
-from branchlift import action, census, cli, subgroups
+from branchlift import action, census, cli, orbits, subgroups
 from branchlift.census import atlas_filename
+from branchlift.orbits import _identity_bases
 from branchlift.subgroups import _identity_shape, _swap_columns
 from conftest import (
     ACCEPTANCE_GRID,
@@ -61,9 +62,9 @@ def test_enumerate_counts():
 def test_census_birkhoff_count_agrees_with_the_oracle(p):
     for b in range(1, 9):
         for r in range(b + 1):
-            assert census._gaussian_binomial(b, r, p) == gaussian_binomial(b, r, p)
+            assert orbits._gaussian_binomial(b, r, p) == gaussian_binomial(b, r, p)
         for k in range(5):
-            assert census._subgroup_count(p, k, b) == subgroup_count(p, k, b)
+            assert orbits._subgroup_count(p, k, b) == subgroup_count(p, k, b)
 
 
 def test_classify_refuses_a_walk_that_misses_an_orbit(monkeypatch):
@@ -150,13 +151,13 @@ def test_orbit_walk_swaps_only_undeduced_edges(monkeypatch, walk, p, k, b, steps
     for x, ys in images.items():
         for y in ys:
             root[find(y)] = find(x)
-    orbits = len({find(x) for x in images})
+    components = len({find(x) for x in images})
     # The steps computed: relabellings that succeed, eliminations and
     # (n 1) steps.  A relabelling that declines defers its edge and
     # computes nothing.
     calls = []
-    real_relabel = census._relabel_columns
-    real_swap, real_swap_1n = census._swap_columns, census._swap_1n
+    real_relabel = orbits._relabel_columns
+    real_swap, real_swap_1n = orbits._swap_columns, orbits._swap_1n
 
     def counting_relabel(basis, c, swap):
         moved = real_relabel(basis, c, swap)
@@ -172,19 +173,19 @@ def test_orbit_walk_swaps_only_undeduced_edges(monkeypatch, walk, p, k, b, steps
         calls.append(0)
         return real_swap_1n(ctx, basis)
 
-    monkeypatch.setattr(census, "_relabel_columns", counting_relabel)
-    monkeypatch.setattr(census, "_swap_columns", counting_swap)
-    monkeypatch.setattr(census, "_swap_1n", counting_swap_1n)
+    monkeypatch.setattr(orbits, "_relabel_columns", counting_relabel)
+    monkeypatch.setattr(orbits, "_swap_columns", counting_swap)
+    monkeypatch.setattr(orbits, "_swap_1n", counting_swap_1n)
     if walk == "classify":
         assert classify(p, k, b + 1).subgroups_seen == len(walked)
     else:
-        orbits_walked = census._orbits(ModulusContext(p, k), b, b)
+        orbits_walked = orbits._orbits(ModulusContext(p, k), b, b)
         assert sum(1 for orbit in orbits_walked for _ in orbit) == len(walked)
     assert len(calls) == steps
     # Swapping each edge once costs one swap per fixed pair and one per
     # other edge for its two ends; the relations deduce some of those
     # edges.  Every subgroup but an orbit's seed is found by a swap.
-    assert len(walked) - orbits <= len(calls) < fixed + (len(gens) * len(walked) - fixed) // 2
+    assert len(walked) - components <= len(calls) < fixed + (len(gens) * len(walked) - fixed) // 2
 
 
 def _reference_orbit(ctx, seed):
@@ -211,8 +212,8 @@ def test_orbit_walk_matches_reference_on_subgroups(p, k, b):
     # so the order it finds bases in is its own: the seed comes first, and
     # each basis of the orbit comes once.
     ctx = ModulusContext(p, k)
-    for seed in census._identity_bases(ctx, b, max_rank=b):
-        walked = list(census._orbit(ctx, b, seed, set()))
+    for seed in _identity_bases(ctx, b, max_rank=b):
+        walked = orbits._orbit(ctx, b, seed)
         assert walked[0] == seed
         assert len(set(walked)) == len(walked)
         assert set(walked) == {unlift(x) for x in _reference_orbit(ctx, lift(ctx, b, seed))}
@@ -250,7 +251,7 @@ def test_swap_1n_is_the_transposition_1n(p, k, b):
     tau = Perm.transposition(b + 1, 1, b + 1)
     for form in enumerate_subgroups(p, k, b):
         sub = rebuild(form)
-        moved = census._swap_1n(ctx, sub.basis)
+        moved = orbits._swap_1n(ctx, sub.basis)
         assert moved == act(tau, sub).basis
         assert moved == unlift(_swap_columns(ctx, lift(ctx, b, sub.basis), 0))
 
@@ -275,7 +276,7 @@ def test_swaps_eliminate_only_when_the_pivot_row_at_c_meets_c_plus_1(monkeypatch
         return real_columns(*args)
 
     declined, computed = set(), set()
-    real_relabel = census._relabel_columns
+    real_relabel = orbits._relabel_columns
 
     def recording_relabel(basis, c, swap):
         moved = real_relabel(basis, c, swap)
@@ -287,7 +288,7 @@ def test_swaps_eliminate_only_when_the_pivot_row_at_c_meets_c_plus_1(monkeypatch
         return moved
 
     expected, counted = [], []
-    real_swap = census._swap_columns
+    real_swap = orbits._swap_columns
 
     def counting_swap(ctx, basis, c, swap=None):
         assert (basis, c) in declined and (basis, c) not in computed
@@ -300,8 +301,8 @@ def test_swaps_eliminate_only_when_the_pivot_row_at_c_meets_c_plus_1(monkeypatch
         return moved
 
     monkeypatch.setattr(subgroups, "_howell_columns", counting_columns)
-    monkeypatch.setattr(census, "_relabel_columns", recording_relabel)
-    monkeypatch.setattr(census, "_swap_columns", counting_swap)
+    monkeypatch.setattr(orbits, "_relabel_columns", recording_relabel)
+    monkeypatch.setattr(orbits, "_swap_columns", counting_swap)
     classify(2, 2, 5)
     assert counted == expected
     assert all(expected)
@@ -330,7 +331,7 @@ def test_orbit_count_matches_burnside(census_cache, p, k, n):
     column_perms = [g for g in all_perms(n) if g(n) == n]
     walked = {
         act(beta, span(ctx, b, basis)).basis
-        for basis in census._identity_bases(ctx, b, max_rank=b - 1)
+        for basis in _identity_bases(ctx, b, max_rank=b - 1)
         for beta in column_perms
     }
     subs = [span(ctx, b, basis) for basis in walked]
@@ -386,7 +387,7 @@ def test_enumerate_covers_each_column_permutation_orbit_once(p, k, b):
             per_seed[seed] = []
             order_seen.append(seed)
         per_seed[seed].append(rebuild(form).basis)
-    seeds = list(census._identity_bases(ctx, b, max_rank=b))
+    seeds = list(_identity_bases(ctx, b, max_rank=b))
     assert order_seen == seeds
     orbits = {}
     for seed in seeds:
@@ -418,8 +419,8 @@ def test_enumerated_forms_are_canonical(p, k, b):
 def test_enumerated_forms_are_those_of_the_full_rank_walk(p, k, b):
     ctx = ModulusContext(p, k)
     walked = {
-        canonical_form(census._trusted_subgroup(ctx, b, basis))
-        for orbit in census._orbits(ctx, b, b)
+        canonical_form(subgroups._trusted_subgroup(ctx, b, basis))
+        for orbit in orbits._orbits(ctx, b, b)
         for basis in orbit
     }
     forms = list(enumerate_subgroups(p, k, b))
@@ -439,7 +440,7 @@ def test_identity_shape_is_trivial_column_permutation(p, k, b):
         assert is_shaped == canonical_form(sub).colperm.is_identity
         if is_shaped:
             shaped.add(sub.basis)
-    assert shaped == set(census._identity_bases(ctx, b, max_rank=b))
+    assert shaped == set(_identity_bases(ctx, b, max_rank=b))
 
 
 @pytest.mark.parametrize("p,k,b,max_rank,count,digest", [
@@ -454,7 +455,7 @@ def test_identity_shape_is_trivial_column_permutation(p, k, b):
 def test_identity_bases_sequence_pinned(p, k, b, max_rank, count, digest):
     # The seed order fixes the walk order, so every swap count and every
     # output order; SHA-256 of the repr of the whole seed sequence.
-    seeds = tuple(census._identity_bases(ModulusContext(p, k), b, max_rank))
+    seeds = tuple(_identity_bases(ModulusContext(p, k), b, max_rank))
     assert len(seeds) == count
     assert hashlib.sha256(repr(seeds).encode()).hexdigest() == digest
 
@@ -464,13 +465,12 @@ def test_pending_seeds_left_over_raise(monkeypatch, walk):
     # Bases flagged as seeds that never come up as seeds stay pending.
     # The ``enumerate`` case drives the full-rank walk over every subgroup
     # of (Z/2)^3.
-    monkeypatch.setattr(census, "_identity_shape", lambda basis: True)
+    monkeypatch.setattr(orbits, "_identity_shape", lambda basis: True)
     with pytest.raises(AssertionError, match="never seeds"):
         if walk == "classify":
             classify(2, 1, 4)
         else:
-            orbits = census._orbits(ModulusContext(2, 1), 3, 3)
-            sum(1 for orbit in orbits for _ in orbit)
+            sum(1 for orbit in orbits._orbits(ModulusContext(2, 1), 3, 3) for _ in orbit)
 
 
 def test_census_memory_follows_the_largest_orbit():
@@ -532,6 +532,21 @@ def test_bound_exceeded():
         list(enumerate_subgroups(2, 2, 12))
     with pytest.raises(BoundExceededError):
         classify(2, 2, 12, bound=1 << 10)
+
+
+@pytest.mark.parametrize("bound", [0, -1, -1024])
+def test_bound_below_1_is_invalid_input(bound):
+    # Not a point past the bound: no point fits a bound below 1, so the
+    # bound itself is refused, before the point is looked at.
+    message = f"the bound must be at least 1, got {bound}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        classify(2, 1, 3, bound=bound)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        next(enumerate_subgroups(2, 1, 1, bound))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        classify_two_points(2, 1, bound=bound)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_classification([(2, 1, 3)], bound=bound)
 
 
 def test_classify_small_points(census_cache):

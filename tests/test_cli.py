@@ -194,6 +194,20 @@ def test_classify_n2_applies_the_bound_to_p_to_the_k(capsys, k, bound, code):
     assert ("exceeds the bound" in err) == (code == 3)
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+@pytest.mark.parametrize("command", [
+    ("classify", "--p", "2", "--k", "1", "--n", "3"),
+    ("classify", "--p", "2", "--k", "1", "--n", "2"),
+    ("verify", "--grid", "2,1,3"),
+    ("audit", "--p", "2", "--k", "1", "--n", "3"),
+], ids=["classify", "classify-n2", "verify", "audit"])
+def test_bound_below_1_exits_2(capsys, command, bound):
+    # invalid input, not a bound that the point exceeds (exit 3)
+    code, out, err = run_cli(capsys, *command, "--bound", bound)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == f"the bound must be at least 1, got {bound}"
+
+
 def test_classify_n2_refuses_output(tmp_path, capsys):
     out_dir = tmp_path / "n2"
     code, out, err = run_cli(

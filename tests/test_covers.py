@@ -35,7 +35,7 @@ from branchlift import (
     validate,
     validate_general,
 )
-from branchlift.census import _identity_bases
+from branchlift.orbits import _identity_bases
 from branchlift.subgroups import _pivots
 from conftest import (
     ENUMERATED_GROUPS,

@@ -28,7 +28,7 @@ from branchlift import (
     subgroup_from_json,
     subgroup_to_json,
 )
-from branchlift.census import _identity_bases
+from branchlift.orbits import _identity_bases
 from branchlift.subgroups import _swap_columns, generating_rows
 from conftest import (
     ENUMERATED_GROUPS,
