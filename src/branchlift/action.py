@@ -19,17 +19,26 @@ against the pivots of T's Howell basis decides.  The action is
 injective and the groups are finite, so when S and T have equal order,
 alpha carrying S into T carries it onto T.  ``act`` computes the image
 itself and serves as the reference.
+
+An adjacent transposition of the first b points swaps two neighbouring
+columns.  When that swap is a relabelling of the Howell basis
+(``subgroups._relabel_columns``), invariance reads off the relabelled
+rows instead: they are the Howell basis of the image, and the Howell
+basis of a span is unique, so the image is S exactly when they equal
+S's basis.  Membership decides the other adjacent transpositions and the
+swap of point b with the last.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .modular import _IDENTITY_PERMS, Matrix, Perm
-from .subgroups import (CanonicalForm, Subgroup, _member, _pivots, _trusted_form,
-                        _trusted_subgroup, canonical_form, generating_rows, span)
+from .modular import _IDENTITY_PERMS, Matrix, Perm, Vector
+from .subgroups import (CanonicalForm, Subgroup, _column_swap, _member, _pivots,
+                        _relabel_columns, _trusted_form, _trusted_subgroup, canonical_form,
+                        generating_rows, span)
 
 __all__ = [
     "OmegaNotIdentityError",
@@ -103,15 +112,29 @@ def action_matrix(alpha: Perm) -> Matrix:
     )
 
 
+_ColumnSwap = tuple[int, Callable[[Sequence[int]], Vector]]
+
+
+@lru_cache(maxsize=64)
+def _generator_table(b: int) -> dict[Perm, _ColumnSwap | None]:
+    """The generators of ``generators(b)``, in its order, each mapped to
+    the column swap it is, ``(c, _column_swap(b, c))`` for the
+    transposition of points c+1 and c+2, or to None for the swap of point
+    b with the last.  Built once per width."""
+    table: dict[Perm, _ColumnSwap | None] = {
+        Perm.transposition(b + 1, c + 1, c + 2): (c, _column_swap(b, c)) for c in range(b - 1)
+    }
+    table[swap_with_last(b, b)] = None
+    return table
+
+
 def generators(b: int) -> list[Perm]:
     """A generating set of size b for the permutations of b+1 points:
     the adjacent transpositions of the first b points plus the swap of
-    point b with the last."""
+    point b with the last.  A new list on each call."""
     if b < 1:
         raise ValueError("need b >= 1")
-    gens = [Perm.transposition(b + 1, i, i + 1) for i in range(1, b)]
-    gens.append(swap_with_last(b, b))
-    return gens
+    return list(_generator_table(b))
 
 
 def _check_size(alpha: Perm, sub: Subgroup) -> None:
@@ -127,17 +150,37 @@ def act(alpha: Perm, sub: Subgroup) -> Subgroup:
     return span(sub.ctx, sub.width, [_moved_row(alpha.images, row) for row in sub.basis])
 
 
+def _relabelled_verdict(sub: Subgroup, swap: _ColumnSwap | None) -> bool | None:
+    """Whether the column swap ``swap`` of ``_generator_table`` carries the
+    subgroup onto itself, when it relabels the subgroup's Howell basis;
+    None when it does not, or when ``swap`` is None.
+
+    ``_relabel_columns`` then returns the Howell basis of the image, and
+    the Howell basis of a span is unique, so the image is the subgroup
+    exactly when the two bases are equal."""
+    if swap is None:
+        return None
+    moved = _relabel_columns(sub.basis, *swap)
+    return None if moved is None else moved == sub.basis
+
+
 def invariant_under(sub: Subgroup, alpha: Perm) -> bool:
-    """Whether alpha carries the subgroup onto itself, decided by
+    """Whether alpha carries the subgroup onto itself: by relabelling
+    (``_relabelled_verdict``) when alpha is an adjacent transposition of
+    the first b points whose column swap relabels the basis, otherwise by
     membership of its moved basis rows.
 
-    Proof.  The basis rows span the subgroup S, so alpha(S) is the span of
-    the moved rows, and it lies in S exactly when every moved row does.
-    The action is injective, so alpha(S) has as many elements as S; a
-    subset of the finite set S of the same size is S itself.  Nothing
-    computes the image alpha(S) (``act`` does, for comparison).
+    Proof of the membership test.  The basis rows span the subgroup S, so
+    alpha(S) is the span of the moved rows, and it lies in S exactly when
+    every moved row does.  The action is injective, so alpha(S) has as
+    many elements as S; a subset of the finite set S of the same size is
+    S itself.  Nothing computes the image alpha(S) (``act`` does, for
+    comparison).
     """
     _check_size(alpha, sub)
+    verdict = _relabelled_verdict(sub, _generator_table(sub.width).get(alpha))
+    if verdict is not None:
+        return verdict
     return _carries_into(alpha.images, sub.basis, _pivots(sub.basis), sub.ctx.modulus)
 
 
@@ -205,13 +248,19 @@ class LiftVerdict:
 
 def fully_liftable(sub: Subgroup) -> LiftVerdict:
     """Whether the subgroup is invariant under the whole point-permutation
-    group, checked on generators only, each as in ``invariant_under``
-    against one pivot list of the subgroup."""
+    group, checked on generators only, in the order of ``generators``,
+    each as in ``invariant_under``; the pivot list for membership is
+    computed at most once."""
     if sub.width < 1:
         raise ValueError("need ambient rank at least 1")
-    pivots = _pivots(sub.basis)
-    for g in generators(sub.width):
-        if not _carries_into(g.images, sub.basis, pivots, sub.ctx.modulus):
+    pivots = None
+    for g, swap in _generator_table(sub.width).items():
+        verdict = _relabelled_verdict(sub, swap)
+        if verdict is None:
+            if pivots is None:
+                pivots = _pivots(sub.basis)
+            verdict = _carries_into(g.images, sub.basis, pivots, sub.ctx.modulus)
+        if not verdict:
             return LiftVerdict(False, g)
     return LiftVerdict(True, None)
 

@@ -24,6 +24,7 @@ from .subgroups import (
     Subgroup,
     _check_width,
     _howell_columns,
+    _identity_tail,
     _pivots,
     _reduce_above,
     _trusted_subgroup,
@@ -222,8 +223,8 @@ def _split_graph(spec: CoverSpec, strict: bool) -> tuple[list[list[int]], Subgro
     n = ctx.modulus
     t, b = len(spec.factor_orders), spec.n - 1
     _check_width(b)
-    graph = [row + [int(j == i) for j in range(b)]
-             for i, row in enumerate(_embedded_rows(spec, spec.images[:b]))]
+    graph = [[*row, *e] for row, e in
+             zip(_embedded_rows(spec, spec.images[:b]), _identity_tail(b, 0))]
     deck, rest = _howell_columns(graph, range(t), n)
     image_order = math.prod(n // next(filter(None, row)) for row in deck)
     if _failure_codes(spec, strict, image_order):

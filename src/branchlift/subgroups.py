@@ -663,5 +663,5 @@ def subgroup_to_json(sub: Subgroup) -> dict:
 def subgroup_from_json(data: dict) -> Subgroup:
     ctx = ModulusContext(json_int(data["p"]), json_int(data["k"]))
     width = json_int(data["m"])
-    rows = [[json_int(x) for x in row] for row in data.get("basis", [])]
+    rows = [[json_int(x) for x in row] for row in data["basis"]]
     return span(ctx, width, rows)

@@ -10,7 +10,8 @@ from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from branchlift import Matrix, ModulusContext, Perm, classify, howell_reduce
+from branchlift import LiftVerdict, Matrix, ModulusContext, Perm, classify, howell_reduce
+from branchlift.action import _carries_into
 from branchlift.modular import _val
 from branchlift.subgroups import _pivots, _reduce_above
 
@@ -256,6 +257,19 @@ def inv_unitriangular_int(q: Matrix) -> Matrix:
 def inv_unitriangular(q: Matrix, ctx: ModulusContext) -> Matrix:
     """Inverse of a unit upper-triangular integer matrix, reduced mod p^k."""
     return reduce_mod(inv_unitriangular_int(q), ctx)
+
+
+def fully_liftable_reference(sub) -> LiftVerdict:
+    """The lifting check by membership alone: each generator, in the order
+    of ``action.generators``, moves every basis row into the subgroup."""
+    b, n = sub.width, sub.ctx.modulus
+    gens = [Perm.transposition(b + 1, i, i + 1) for i in range(1, b)]
+    gens.append(Perm.transposition(b + 1, b, b + 1))
+    pivots = _pivots(sub.basis)
+    for g in gens:
+        if not _carries_into(g.images, sub.basis, pivots, n):
+            return LiftVerdict(False, g)
+    return LiftVerdict(True, None)
 
 
 #: Ambient groups (p, k, b) small enough to enumerate in full.

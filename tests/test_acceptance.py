@@ -35,6 +35,7 @@ from conftest import (
     all_perms,
     brute_span,
     elementary_matrix,
+    fully_liftable_reference,
     identity_matrix,
     matadd,
     matsub,
@@ -249,3 +250,17 @@ def test_criterion_7_first_isomorphism(census_cache):
         f"{checked} covers, {failures} failures",
     )
     assert failures == 0
+
+
+def test_class_kernels_lift_as_by_membership(census_cache):
+    # the lifting check with relabelling agrees with membership alone, in
+    # verdict and witness, on every class kernel of the grid
+    checked = 0
+    for p, k, n, _ in ACCEPTANCE_GRID:
+        for rec in census_cache(p, k, n).classes:
+            verdict = fully_liftable(rec.kernel)
+            assert verdict == fully_liftable_reference(rec.kernel), (p, k, n, rec.kernel.basis)
+            assert (verdict.liftable, verdict.witness) == (rec.liftable, rec.witness)
+            checked += 1
+    _report("lifting check by relabelling matches membership",
+            checked > 0, f"{checked} class kernels")

@@ -22,11 +22,14 @@ from branchlift import (
     span,
     swap_with_last,
 )
+from branchlift.action import _carries_into
 from branchlift.orbits import _identity_bases
+from branchlift.subgroups import _relabel_columns
 from conftest import (
     ENUMERATED_GROUPS,
     all_perms,
     elementary_matrix,
+    fully_liftable_reference,
     identity_matrix,
     inv_unitriangular,
     matadd,
@@ -132,6 +135,97 @@ def test_generators_generate_everything(b, size):
 
 def test_generators_b1():
     assert generators(1) == [swap_with_last(1, 1)]
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+def test_generators_new_list_each_call(b):
+    expected = [Perm.transposition(b + 1, i, i + 1) for i in range(1, b)]
+    expected.append(swap_with_last(b, b))
+    first, second = generators(b), generators(b)
+    assert first == second == expected
+    assert first is not second
+    assert all(x is y for x, y in zip(first, second))
+    # for b >= 2, (1 2) moves the span of e_1, and only the swap with the
+    # last point moves the span of the all-ones row
+    subs = [span(Z2, b, [(1,) + (0,) * (b - 1)]), span(Z2, b, [(1,) * b])]
+    before = [fully_liftable(sub) for sub in subs]
+    first.append(Perm.identity(b + 1))
+    second.reverse()
+    assert generators(b) == expected
+    assert [fully_liftable(sub) for sub in subs] == before
+    assert before == [fully_liftable_reference(sub) for sub in subs]
+
+
+def _count_membership(monkeypatch) -> list:
+    """Patch ``action._carries_into`` to record the permutation of each call."""
+    calls = []
+
+    def counting(images, rows, pivots, n):
+        calls.append(images)
+        return _carries_into(images, rows, pivots, n)
+
+    monkeypatch.setattr("branchlift.action._carries_into", counting)
+    return calls
+
+
+def test_invariant_under_relabels_adjacent_transpositions(monkeypatch):
+    calls = _count_membership(monkeypatch)
+    relabelled = span(Z2, 3, [(1, 0, 0)])
+    for gen, verdict in zip(generators(3)[:2], (False, True)):
+        assert invariant_under(relabelled, gen) is verdict
+        assert verdict == equal(act(gen, relabelled), relabelled)
+    assert calls == []
+    last = generators(3)[-1]
+    assert invariant_under(relabelled, last)
+    assert calls == [last.images]
+    # the row pivoting at column 0 is nonzero at column 1, so (1 2) is
+    # decided by membership
+    calls.clear()
+    tied = span(Z2, 3, [(1, 1, 0)])
+    assert invariant_under(tied, generators(3)[0])
+    assert calls == [generators(3)[0].images]
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 3), (2, 2, 4), (3, 1, 5)])
+def test_fully_liftable_membership_only_for_last_swap(monkeypatch, p, k, n):
+    ctx, b = ModulusContext(p, k), n - 1
+    calls = _count_membership(monkeypatch)
+    full = span(ctx, b, identity_matrix(b))
+    for sub in (span(ctx, b, []), full):
+        calls.clear()
+        assert fully_liftable(sub).liftable
+        assert calls == [swap_with_last(b, b).images]
+
+
+# The sweep benchmark's ambient groups with b <= 4 that ENUMERATED_GROUPS
+# does not already hold.
+_SWEEP_GROUPS = [(2, 2, 4), (2, 3, 3), (2, 4, 2), (3, 1, 4), (3, 2, 2),
+                 (5, 1, 3), (5, 1, 4), (5, 2, 1)]
+
+
+def test_fully_liftable_against_membership_reference(monkeypatch):
+    # both ways of deciding an adjacent transposition are taken
+    relabels = {True: 0, False: 0}
+
+    def counting(basis, c, swap):
+        moved = _relabel_columns(basis, c, swap)
+        relabels[moved is not None] += 1
+        return moved
+
+    monkeypatch.setattr("branchlift.action._relabel_columns", counting)
+    verdicts = set()
+    witnesses = set()
+    for p, k, b in ENUMERATED_GROUPS + _SWEEP_GROUPS:
+        for f in enumerate_subgroups(p, k, b):
+            sub = rebuild(f)
+            verdict = fully_liftable(sub)
+            assert verdict == fully_liftable_reference(sub), (sub.basis, verdict)
+            verdicts.add(verdict.liftable)
+            if verdict.witness is not None:
+                witnesses.add(verdict.witness.images[-1] != b + 1)
+    assert verdicts == {True, False}
+    assert witnesses == {True, False}
+    assert relabels[True] and relabels[False]
 
 
 def test_act_examples():

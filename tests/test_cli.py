@@ -149,6 +149,7 @@ def test_canonical_edge_cases(tmp_path, capsys):
     for text in (
         json.dumps({"p": 2, "k": 1, "m": 2, "basis": 5}),
         json.dumps({"p": 2, "k": 1, "m": 2, "basis": [5]}),
+        json.dumps({"p": 2, "k": 1, "m": 2}),
     ):
         bad.write_text(text)
         code, _, err = run_cli(capsys, "canonical", "--input", str(bad))
