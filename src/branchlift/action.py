@@ -285,6 +285,11 @@ def omega_normalize(sub: Subgroup) -> tuple[Subgroup, CanonicalForm]:
     Those rows are the twin's Howell basis, and its normal form is
     (e, U, id), as the proof of ``canonical_form``'s read-off shows; so
     both are read off the form at once.
+
+    The subgroup's form is ``canonical_form``'s, which the subgroup keeps,
+    so after ``canonical_form(sub)`` no elimination runs here.  The twin
+    is a new instance and gets no stored form: ``canonical_form`` of it
+    reads (e, U, id) off its rows when asked.
     """
     form = canonical_form(sub)
     if form.colperm.is_identity:

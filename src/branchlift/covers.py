@@ -209,14 +209,32 @@ def kernel(spec: CoverSpec, strict: bool = True) -> Subgroup:
       ``strict``, and that order equals the deck order, ``validate``
       finds no failure; if any of these fails, so does ``validate``, and
       ``require_valid`` raises its codes.
+
+    The graph rows enter the pool last loop first.  ``_howell_columns``
+    takes the first row of least valuation as a column's pivot, so each
+    deck pivot is the highest-numbered such loop, and the rows left over
+    are put back in reverse order, the loops' rows ascending.  Each such
+    row is e_i plus entries only in the columns of the deck pivot loops,
+    and a pivot's shadow has entries only there too; those columns
+    therefore tend to sit at the right end.  So each homology column i
+    left of them is nonzero in one leftover row only, with the unit of
+    e_i, and pivots there with nothing to clear, where a top-down order
+    would leave every leftover row nonzero in the low columns, to be
+    eliminated across the whole width.  The order is free: the Howell
+    basis of a span is unique, so the kernel and the deck rows cut to the
+    deck columns are the same for every order of the pool; only the
+    preimage parts of the deck rows depend on it, and
+    ``induced_deck_automorphism`` does not.
     """
     return _split_graph(spec, strict)[1]
 
 
 def _split_graph(spec: CoverSpec, strict: bool) -> tuple[list[list[int]], Subgroup]:
     """The deck pivot rows of the graph and the kernel, as ``kernel``
-    explains; the width is checked before the graph is built, and the
-    cover is validated between the two elimination steps.  The kernel
+    explains: the graph is eliminated from its last loop up, and the
+    rows left over go to the homology columns in ascending loop order.
+    The width is checked before the graph is built, and the cover is
+    validated between the two elimination steps.  The kernel
     basis is a Howell basis just computed, so ``_trusted_subgroup`` wraps
     it without re-checking its entries, as ``span`` does."""
     ctx = spec.ctx
@@ -225,10 +243,12 @@ def _split_graph(spec: CoverSpec, strict: bool) -> tuple[list[list[int]], Subgro
     _check_width(b)
     graph = [[*row, *e] for row, e in
              zip(_embedded_rows(spec, spec.images[:b]), _identity_tail(b, 0))]
+    graph.reverse()
     deck, rest = _howell_columns(graph, range(t), n)
     image_order = math.prod(n // next(filter(None, row)) for row in deck)
     if _failure_codes(spec, strict, image_order):
         require_valid(spec, strict)
+    rest.reverse()
     basis, _ = _howell_columns([r[t:] for r in rest], range(b), n)
     return deck, _trusted_subgroup(ctx, b, tuple(tuple(r) for r in basis))
 

@@ -305,6 +305,10 @@ def _swap_columns(ctx: ModulusContext, basis: Matrix, c: int,
     return (*head, *placed, *tail)
 
 
+# The instance key under which ``canonical_form`` stores a subgroup's form.
+_FORM_KEY = "_canonical_form"
+
+
 def _check_width(width: int) -> None:
     if not (1 <= width <= MAX_RANK):
         raise ValueError(f"ambient rank {width} out of range 1..{MAX_RANK}")
@@ -318,6 +322,11 @@ class Subgroup:
     residues of the given width, and stores the Howell basis of their
     span, so every instance holds a Howell basis.  ``span`` takes any
     integer rows.
+
+    ``canonical_form`` stores the normal form it computes in the
+    instance's ``__dict__`` under ``_FORM_KEY``, outside the fields, so
+    ``==``, ``hash``, ``repr`` and ``dataclasses.asdict`` never see it.
+    No constructor sets it.
     """
 
     ctx: ModulusContext
@@ -527,6 +536,15 @@ def _least_entry(pool: Sequence[Sequence[int]], cols: Iterable[int],
 def canonical_form(sub: Subgroup) -> CanonicalForm:
     """Compute the normal form of a subgroup from its reduced basis.
 
+    The form is computed at most once per instance: the first call stores
+    it on the subgroup (see ``Subgroup``) and later calls return that
+    same object.  Only this computation writes it, so a subgroup built by
+    ``Subgroup(...)``, ``span``, ``rebuild`` or ``omega_normalize`` has
+    its form computed afresh, and a round trip through ``rebuild`` checks
+    a computation, not a stored value.  A subgroup is immutable and its
+    form depends on its basis alone, so the stored form is always the
+    one a fresh computation gives.
+
     A basis of identity shape (``_identity_shape``) is read straight off:
     e_i is the valuation of row i's pivot p^(e_i), U_i is row i divided
     by p^(e_i), the rows past the rank are identity rows, and the column
@@ -576,6 +594,10 @@ def canonical_form(sub: Subgroup) -> CanonicalForm:
     which no nonzero multiple of p^(e_j) mod p^k is.  So U is what
     reducing the cofactor into its bounds after the elimination gives.
     """
+    memo = sub.__dict__
+    form = memo.get(_FORM_KEY)
+    if form is not None:
+        return form
     ctx, m = sub.ctx, sub.width
     p, k, n = ctx.p, ctx.k, ctx.modulus
     if _identity_shape(sub.basis):
@@ -605,7 +627,9 @@ def canonical_form(sub: Subgroup) -> CanonicalForm:
         colperm = _trusted_perm(tuple(images))
     exps = [_val(pe, p, k) for pe in pes] + [k] * (m - rank)
     upper += _identity_tail(m, rank)
-    return _trusted_form(ctx, m, rank, tuple(exps), tuple(upper), colperm)
+    form = _trusted_form(ctx, m, rank, tuple(exps), tuple(upper), colperm)
+    memo[_FORM_KEY] = form
+    return form
 
 
 def _identity_tail(m: int, rank: int) -> Matrix:
@@ -645,6 +669,8 @@ def quotient_invariants(sub: Subgroup) -> tuple[int, ...]:
     """Orders of the cyclic factors of the ambient group modulo ``sub``.
 
     Returned ascending; the empty tuple means the quotient is trivial.
+    Read off the exponents of the subgroup's form, which ``canonical_form``
+    computes at most once per instance.
     """
     form = canonical_form(sub)
     p = sub.ctx.p

@@ -12,8 +12,16 @@ import pytest
 
 from branchlift import LiftVerdict, Matrix, ModulusContext, Perm, classify, howell_reduce
 from branchlift.action import _carries_into
+from branchlift.covers import _embedded_rows, _failure_codes, require_valid
 from branchlift.modular import _val
-from branchlift.subgroups import _pivots, _reduce_above
+from branchlift.subgroups import (
+    _check_width,
+    _howell_columns,
+    _identity_tail,
+    _pivots,
+    _reduce_above,
+    _trusted_subgroup,
+)
 
 
 def brute_span(ctx: ModulusContext, width: int, rows) -> frozenset:
@@ -148,6 +156,29 @@ def graph_kernel_reference(spec) -> Matrix:
     ]
     graph = howell_reduce(ctx, t + b, rows)
     return tuple(row[t:] for row in graph if not any(row[:t]))
+
+
+def split_graph_reference(spec, strict: bool):
+    """``covers._split_graph`` with the graph rows eliminated top-down,
+    loop 1 first: the deck rows of the graph and the kernel, raising
+    ``validate``'s codes for an invalid cover.  The Howell basis of a span
+    is unique, so the kernel and the deck rows cut to the deck columns
+    must not depend on the order; only the preimage parts of the deck
+    rows may."""
+    ctx = spec.ctx
+    n = ctx.modulus
+    t, b = len(spec.factor_orders), spec.n - 1
+    _check_width(b)
+    graph = [[*row, *e] for row, e in
+             zip(_embedded_rows(spec, spec.images[:b]), _identity_tail(b, 0))]
+    deck, rest = _howell_columns(graph, range(t), n)
+    image_order = 1
+    for row in deck:
+        image_order *= n // next(filter(None, row))
+    if _failure_codes(spec, strict, image_order):
+        require_valid(spec, strict)
+    basis, _ = _howell_columns([r[t:] for r in rest], range(b), n)
+    return deck, _trusted_subgroup(ctx, b, tuple(tuple(r) for r in basis))
 
 
 def lift(ctx: ModulusContext, width: int, basis: Matrix) -> Matrix:

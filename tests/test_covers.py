@@ -35,6 +35,8 @@ from branchlift import (
     validate,
     validate_general,
 )
+from branchlift import covers
+from branchlift.action import generators
 from branchlift.orbits import _identity_bases
 from branchlift.subgroups import _pivots
 from conftest import (
@@ -42,6 +44,7 @@ from conftest import (
     all_perms,
     graph_kernel_reference,
     inv_unitriangular_int,
+    split_graph_reference,
 )
 
 Z4 = ModulusContext(2, 2)
@@ -199,6 +202,81 @@ def test_kernel_refuses_the_width_before_any_elimination(monkeypatch):
     monkeypatch.setattr("branchlift.covers._howell_columns", no_elimination)
     with pytest.raises(ValueError, match="ambient rank 17 out of range"):
         kernel(spec)
+
+
+def _query_spec(rng):
+    """A random cover drawn as the ``queries`` benchmark draws one: p in
+    {2, 3, 5}, k <= 3, 3 <= n <= 9, one to three factors with top factor
+    p^k, images summing to zero; kept even when invalid."""
+    p, k, n = rng.choice((2, 3, 5)), rng.randint(1, 3), rng.randint(3, 9)
+    exps = sorted(rng.randint(1, k) for _ in range(rng.randint(0, 2))) + [k]
+    factors = tuple(p**e for e in exps)
+    rows = [tuple(rng.randrange(q) for q in factors) for _ in range(n - 1)]
+    rows.append(tuple(-sum(r[j] for r in rows) % q for j, q in enumerate(factors)))
+    return CoverSpec(p, k, n, factors, tuple(rows))
+
+
+def _leading_unit_spec(rng):
+    """A random cover in which loop 1 is the only loop with a unit in any
+    deck column: every other image entry is a multiple of p.  The deck
+    pivots then sit on loop 1, whichever end the elimination starts from,
+    so the leftover rows carry entries in the first homology column."""
+    p, k, n = rng.choice((2, 3, 5)), rng.randint(1, 3), rng.randint(3, 9)
+    exps = sorted(rng.randint(1, k) for _ in range(rng.randint(0, 2))) + [k]
+    factors = tuple(p**e for e in exps)
+    first = tuple(rng.choice([x for x in range(1, q) if x % p]) for q in factors)
+    rows = [first] + [tuple(p * rng.randrange(q) for q in factors) for _ in range(n - 2)]
+    rows.append(tuple(-sum(r[j] for r in rows) % q for j, q in enumerate(factors)))
+    return CoverSpec(p, k, n, factors, tuple(rows))
+
+
+#: The lifting-check pin of the CI workflow whose deck pivot cannot trail:
+#: only loop 1 has a unit in the Z9 column.
+LEADING_UNIT_PIN = CoverSpec(
+    3, 2, 7, (3, 9), ((1, 1), (0, 3), (1, 3), (0, 6), (2, 3), (1, 6), (1, 5)))
+
+
+def _kernel_outcome(spec, strict):
+    """What ``covers._split_graph`` decides for one cover: the failure
+    codes raised, or the kernel basis, the deck rows whole and cut to the
+    deck columns, and the automorphism each generator induces."""
+    try:
+        deck, ker = covers._split_graph(spec, strict)
+    except CoverValidationError as err:
+        return {"codes": err.codes}
+    t = len(spec.factor_orders)
+    psi = [induced_deck_automorphism(spec, g, strict) for g in generators(spec.n - 1)]
+    return {"kernel": ker.basis, "rows": deck, "deck": [row[:t] for row in deck], "psi": psi}
+
+
+def test_kernel_bottom_up_against_top_down_reference(monkeypatch):
+    # The graph is eliminated from its last loop up; the Howell basis is
+    # unique, so the kernel, the deck rows cut to the deck columns, the
+    # failure codes and every induced automorphism match the top-down
+    # elimination of the reference.  Only the deck rows' preimage parts
+    # may differ.
+    rng = random.Random(41)
+    specs = [LEADING_UNIT_PIN]
+    specs += [_query_spec(rng) for _ in range(400)]
+    specs += [_leading_unit_spec(rng) for _ in range(150)]
+    cases = [(spec, strict) for spec in specs for strict in (True, False)]
+    got = [_kernel_outcome(*case) for case in cases]
+    monkeypatch.setattr(covers, "_split_graph", split_graph_reference)
+    want = [_kernel_outcome(*case) for case in cases]
+    assert "codes" not in got[0]
+    seen = Counter()
+    for case, g, w in zip(cases, got, want):
+        rows, ref_rows = g.pop("rows", None), w.pop("rows", None)
+        assert g == w, case
+        if "codes" in g:
+            seen.update(g["codes"])
+            continue
+        seen["valid"] += 1
+        seen["preimages differ"] += rows != ref_rows
+        seen["automorphisms"] += sum(psi is not None for psi in g["psi"])
+    assert seen["valid"] >= 500 and seen["preimages differ"] >= 300, seen
+    assert seen["automorphisms"] >= 300, seen
+    assert {"NotSurjective", "ZeroBranchImage"} <= set(seen), seen
 
 
 def test_first_isomorphism_for_predictions():

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import hashlib
+import pickle
 import random
 from itertools import product
 
@@ -28,6 +30,7 @@ from branchlift import (
     subgroup_from_json,
     subgroup_to_json,
 )
+from branchlift import subgroups
 from branchlift.orbits import _identity_bases
 from branchlift.subgroups import _swap_columns, generating_rows
 from conftest import (
@@ -509,6 +512,101 @@ def test_trusted_forms_pass_the_checked_constructor(p, k, b):
         fields = {f.name: getattr(form, f.name) for f in dataclasses.fields(form)}
         assert CanonicalForm(**fields) == form
         assert Perm(form.colperm.images) == form.colperm
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Counts of the calls ``canonical_form`` makes to its two steps: the
+    identity-shape test and, on an eliminated basis, the pivot search."""
+    counts = {"shape": 0, "pivot": 0}
+    shape, least = subgroups._identity_shape, subgroups._least_entry
+
+    def counted_shape(basis):
+        counts["shape"] += 1
+        return shape(basis)
+
+    def counted_least(pool, cols, n):
+        counts["pivot"] += 1
+        return least(pool, cols, n)
+
+    monkeypatch.setattr(subgroups, "_identity_shape", counted_shape)
+    monkeypatch.setattr(subgroups, "_least_entry", counted_least)
+    return counts
+
+
+#: Bases of (Z/4)^2 whose form is read off (identity shape) or eliminated.
+MEMO_BASES = [
+    pytest.param([(1, 1), (0, 2)], True, id="identity_shape"),
+    pytest.param([(2, 1)], False, id="eliminated"),
+]
+
+
+@pytest.mark.parametrize("rows,shaped", MEMO_BASES)
+def test_canonical_form_is_computed_once_per_instance(eliminations, rows, shaped):
+    sub = span(Z4, 2, rows)
+    form = canonical_form(sub)
+    assert eliminations == {"shape": 1, "pivot": 0 if shaped else 1}
+    assert form.colperm.is_identity == shaped
+    again = dict(eliminations)
+    assert canonical_form(sub) is form
+    assert quotient_invariants(sub) == tuple(2**e for e in form.exponents if e > 0)
+    twin, nf = omega_normalize(sub)
+    assert eliminations == again
+    if shaped:
+        assert twin is sub and nf is form
+    else:
+        assert (nf.exponents, nf.upper) == (form.exponents, form.upper)
+        assert nf.colperm.is_identity
+
+
+@pytest.mark.parametrize("rows,shaped", MEMO_BASES)
+def test_fresh_subgroups_carry_no_form(eliminations, rows, shaped):
+    # Only canonical_form's computation stores a form, so the rebuild
+    # round trip computes the form again instead of reading it back.
+    sub = span(Z4, 2, rows)
+    form = canonical_form(sub)
+    twin, nf = omega_normalize(sub)
+    fresh = [
+        Subgroup(Z4, 2, sub.basis),
+        span(Z4, 2, rows),
+        subgroups._trusted_subgroup(Z4, 2, sub.basis),
+        rebuild(form),
+        rebuild(nf),
+    ]
+    if not shaped:
+        fresh.append(twin)
+    for other in fresh:
+        assert subgroups._FORM_KEY not in vars(other)
+        before = eliminations["shape"]
+        assert canonical_form(other) == canonical_form(span(Z4, 2, other.basis))
+        assert eliminations["shape"] == before + 2
+
+
+@pytest.mark.parametrize("rows,shaped", MEMO_BASES)
+def test_stored_form_is_invisible(rows, shaped):
+    bare, kept = span(Z4, 2, rows), span(Z4, 2, rows)
+    form = canonical_form(kept)
+    assert vars(kept)[subgroups._FORM_KEY] is form
+    assert subgroups._FORM_KEY not in vars(bare)
+    assert kept == bare and hash(kept) == hash(bare)
+    assert repr(kept) == repr(bare) and str(kept) == str(bare)
+    assert dataclasses.asdict(kept) == dataclasses.asdict(bare)
+    for copied in (pickle.loads(pickle.dumps(kept)), copy.copy(kept), copy.deepcopy(kept)):
+        assert copied == bare and hash(copied) == hash(bare)
+        assert repr(copied) == repr(bare)
+        assert canonical_form(copied) == form
+
+
+@pytest.mark.parametrize("p,k,b", ENUMERATED_GROUPS)
+def test_stored_form_matches_a_fresh_computation(p, k, b):
+    ctx = ModulusContext(p, k)
+    for form in enumerate_subgroups(p, k, b):
+        sub = rebuild(form)
+        got = canonical_form(sub)
+        assert vars(sub)[subgroups._FORM_KEY] is got
+        assert got == form == canonical_form(subgroups._trusted_subgroup(ctx, b, sub.basis))
+        twin, nf = omega_normalize(sub)
+        assert canonical_form(twin) == nf and nf.colperm.is_identity
 
 
 def _quotient_order_counts(ctx, width, sub):
