@@ -20,25 +20,35 @@ injective and the groups are finite, so when S and T have equal order,
 alpha carrying S into T carries it onto T.  ``act`` computes the image
 itself and serves as the reference.
 
-An adjacent transposition of the first b points swaps two neighbouring
-columns.  When that swap is a relabelling of the Howell basis
-(``subgroups._relabel_columns``), invariance reads off the relabelled
-rows instead: they are the Howell basis of the image, and the Howell
-basis of a span is unique, so the image is S exactly when they equal
-S's basis.  Membership decides the other adjacent transpositions and the
-swap of point b with the last.
+A transposition tau needs one membership test, not one per row.  It acts
+as a rank-one update, tau x = x + d(x) delta, with a linear form d and a
+fixed direction delta (points a, c <= b, indices from 1):
+
+* tau = (a c): d(x) = x_c - x_a and delta = e_a - e_c;
+* tau = (a n): d(x) = -x_a and delta = 1 + e_a, with 1 the all-ones row.
+
+Both follow from the coordinate formula.  d(S) is a subgroup of Z/p^k,
+so it is the ideal (p^m), where m is the least valuation of d over any
+generating rows of S (m = k when d vanishes on all of them).  Then tau
+carries S onto itself exactly when p^m delta lies in S:
+
+* if p^m delta is in S, then tau v - v = d(v) delta lies in
+  p^m delta Z, inside S, for every v in S;
+* if tau S = S, every r in (p^m) is d(v) for some v in S, and
+  r delta = tau v - v lies in S.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from itertools import combinations, islice
+from math import gcd
+from typing import Sequence
 
-from .modular import _IDENTITY_PERMS, Matrix, Perm, Vector
-from .subgroups import (CanonicalForm, Subgroup, _column_swap, _member, _pivots,
-                        _relabel_columns, _trusted_form, _trusted_subgroup, canonical_form,
-                        generating_rows, span)
+from .modular import _IDENTITY_PERMS, Matrix, Perm
+from .subgroups import (CanonicalForm, Subgroup, _member, _pivots, _trusted_form,
+                        _trusted_subgroup, canonical_form, generating_rows, span)
 
 __all__ = [
     "OmegaNotIdentityError",
@@ -112,19 +122,16 @@ def action_matrix(alpha: Perm) -> Matrix:
     )
 
 
-_ColumnSwap = tuple[int, Callable[[Sequence[int]], Vector]]
-
-
 @lru_cache(maxsize=64)
-def _generator_table(b: int) -> dict[Perm, _ColumnSwap | None]:
-    """The generators of ``generators(b)``, in its order, each mapped to
-    the column swap it is, ``(c, _column_swap(b, c))`` for the
-    transposition of points c+1 and c+2, or to None for the swap of point
-    b with the last.  Built once per width."""
-    table: dict[Perm, _ColumnSwap | None] = {
-        Perm.transposition(b + 1, c + 1, c + 2): (c, _column_swap(b, c)) for c in range(b - 1)
-    }
-    table[swap_with_last(b, b)] = None
+def _transpositions(b: int) -> dict[tuple[int, ...], tuple[Perm, int, int]]:
+    """Every transposition of the b+1 points, keyed by its images, mapped
+    to ``(perm, a, c)``: the ``Perm`` and its two points a < c, counted
+    from 0, so c = b is the last point.  The b generators of
+    ``generators(b)`` come first, in its order.  Built once per width."""
+    table = {}
+    for a, c in sorted(combinations(range(b + 1), 2), key=lambda ac: ac[1] - ac[0]):
+        perm = Perm.transposition(b + 1, a + 1, c + 1)
+        table[perm.images] = (perm, a, c)
     return table
 
 
@@ -134,7 +141,7 @@ def generators(b: int) -> list[Perm]:
     point b with the last.  A new list on each call."""
     if b < 1:
         raise ValueError("need b >= 1")
-    return list(_generator_table(b))
+    return [perm for perm, _, _ in islice(_transpositions(b).values(), b)]
 
 
 def _check_size(alpha: Perm, sub: Subgroup) -> None:
@@ -150,24 +157,39 @@ def act(alpha: Perm, sub: Subgroup) -> Subgroup:
     return span(sub.ctx, sub.width, [_moved_row(alpha.images, row) for row in sub.basis])
 
 
-def _relabelled_verdict(sub: Subgroup, swap: _ColumnSwap | None) -> bool | None:
-    """Whether the column swap ``swap`` of ``_generator_table`` carries the
-    subgroup onto itself, when it relabels the subgroup's Howell basis;
-    None when it does not, or when ``swap`` is None.
+def _direction(b: int, a: int, c: int, s: int, n: int) -> list[int]:
+    """s delta mod n for the transposition of points a < c, counted from 0
+    (c = b is the last point): s(e_a - e_c), or s(1 + e_a) when c = b."""
+    if c < b:
+        vec = [0] * b
+        vec[c] = -s % n
+    else:
+        vec = [s % n] * b
+    vec[a] = (vec[a] + s) % n
+    return vec
 
-    ``_relabel_columns`` then returns the Howell basis of the image, and
-    the Howell basis of a span is unique, so the image is the subgroup
-    exactly when the two bases are equal."""
-    if swap is None:
-        return None
-    moved = _relabel_columns(sub.basis, *swap)
-    return None if moved is None else moved == sub.basis
+
+def _least_step(basis: Sequence[Sequence[int]], b: int, a: int, c: int,
+                n: int) -> list[int] | None:
+    """p^m delta mod n = p^k, for the transposition of points a < c
+    (``_direction``) and the span S of ``basis``, of width b, as in the
+    module docstring; None when it is zero, that is when d vanishes on S.
+    gcd(p^k, d(row) over the rows) is p^m, since d(S) is the ideal the
+    d(row) generate; the scan stops at a unit."""
+    g = n
+    for row in basis:
+        d = row[c] - row[a] if c < b else row[a]
+        if d:
+            g = gcd(g, d)
+            if g == 1:
+                break
+    return None if g == n else _direction(b, a, c, g, n)
 
 
 def invariant_under(sub: Subgroup, alpha: Perm) -> bool:
-    """Whether alpha carries the subgroup onto itself: by relabelling
-    (``_relabelled_verdict``) when alpha is an adjacent transposition of
-    the first b points whose column swap relabels the basis, otherwise by
+    """Whether alpha carries the subgroup onto itself: for a
+    transposition, by membership of the one vector p^m delta
+    (``_least_step``, proved in the module docstring), otherwise by
     membership of its moved basis rows.
 
     Proof of the membership test.  The basis rows span the subgroup S, so
@@ -178,10 +200,12 @@ def invariant_under(sub: Subgroup, alpha: Perm) -> bool:
     comparison).
     """
     _check_size(alpha, sub)
-    verdict = _relabelled_verdict(sub, _generator_table(sub.width).get(alpha))
-    if verdict is not None:
-        return verdict
-    return _carries_into(alpha.images, sub.basis, _pivots(sub.basis), sub.ctx.modulus)
+    basis, n = sub.basis, sub.ctx.modulus
+    hit = _transpositions(sub.width).get(alpha.images)
+    if hit is None:
+        return _carries_into(alpha.images, basis, _pivots(basis), n)
+    vec = _least_step(basis, sub.width, hit[1], hit[2], n)
+    return vec is None or _member(vec, _pivots(basis), n)
 
 
 def divisibility_criterion(form: CanonicalForm, alpha: Perm) -> bool:
@@ -210,6 +234,17 @@ def divisibility_criterion(form: CanonicalForm, alpha: Perm) -> bool:
     w_t is final, w_t U_t is subtracted from the entries right of t, and
     only when w_t is nonzero.  Each w_t is checked as soon as it is final,
     in ascending t, so the first failing entry ends the test.
+
+    A transposition tau substitutes the one vector delta of the module
+    docstring instead and asks whether p^m delta lies in the subgroup,
+    where m is the least e_i + v_p(d(U_i)) over the generator rows,
+    capped at k.  The scan for m stops at the first e_i >= m, as e is
+    weakly increasing, and counts v_p only up to m - e_i.  Row i of U
+    vanishes left of column i, so d(U_i) = 0 for i > c.  When m reaches
+    the last exponent every p^(e_j) divides p^m, so p^m delta lies in
+    the subgroup at once.  The substitution starts at column a for
+    tau = (a c), where e_a - e_c has its first nonzero entry, and at
+    column 0 for (a n), where 1 + e_a has.
     """
     if not form.colperm.is_identity:
         raise OmegaNotIdentityError(
@@ -218,17 +253,41 @@ def divisibility_criterion(form: CanonicalForm, alpha: Perm) -> bool:
     if alpha.size != form.width + 1:
         raise ValueError("permutation size does not match the form")
     p, upper, exps, b = form.ctx.p, form.upper, form.exponents, form.width
-    for i in range(form.rank):
-        ei = exps[i]
-        w = _moved_row(alpha.images, upper[i])
-        for t in range(b):
-            wt = w[t]
-            if wt:
-                if exps[t] > ei and wt % p ** (exps[t] - ei):
-                    return False
-                ut = upper[t]
-                for j in range(t + 1, b):
-                    w[j] -= wt * ut[j]
+    hit = _transpositions(b).get(alpha.images)
+    if hit is None:
+        return all(_scaled_in_span(form, exps[i], _moved_row(alpha.images, upper[i]), 0)
+                   for i in range(form.rank))
+    _, a, c = hit
+    m = form.ctx.k
+    for i in range(min(form.rank, c + 1)):
+        e = exps[i]
+        if e >= m:
+            break
+        d = upper[i][c] - upper[i][a] if c < b else upper[i][a]
+        if d:
+            while e < m and not d % p:
+                d //= p
+                e += 1
+            m = e
+    return m >= exps[-1] or _scaled_in_span(
+        form, m, _direction(b, a, c, 1, form.ctx.modulus), a if c < b else 0)
+
+
+def _scaled_in_span(form: CanonicalForm, s: int, v: list[int], start: int) -> bool:
+    """Whether p^s v lies in the span of diag(p^e) U, for the exponents e
+    and cofactor U of ``form`` and an integer row v that vanishes left of
+    column ``start``; consumes v.  Solves w U = v by forward substitution,
+    as in ``divisibility_criterion``, and checks p^(e_j - s) | w_j where
+    e_j > s."""
+    p, upper, exps, b = form.ctx.p, form.upper, form.exponents, form.width
+    for t in range(start, b):
+        wt = v[t]
+        if wt:
+            if exps[t] > s and wt % p ** (exps[t] - s):
+                return False
+            ut = upper[t]
+            for j in range(t + 1, b):
+                v[j] -= wt * ut[j]
     return True
 
 
@@ -253,15 +312,15 @@ def fully_liftable(sub: Subgroup) -> LiftVerdict:
     computed at most once."""
     if sub.width < 1:
         raise ValueError("need ambient rank at least 1")
+    basis, n = sub.basis, sub.ctx.modulus
     pivots = None
-    for g, swap in _generator_table(sub.width).items():
-        verdict = _relabelled_verdict(sub, swap)
-        if verdict is None:
+    for g, a, c in islice(_transpositions(sub.width).values(), sub.width):
+        vec = _least_step(basis, sub.width, a, c, n)
+        if vec is not None:
             if pivots is None:
-                pivots = _pivots(sub.basis)
-            verdict = _carries_into(g.images, sub.basis, pivots, sub.ctx.modulus)
-        if not verdict:
-            return LiftVerdict(False, g)
+                pivots = _pivots(basis)
+            if not _member(vec, pivots, n):
+                return LiftVerdict(False, g)
     return LiftVerdict(True, None)
 
 

@@ -278,6 +278,10 @@ def cover_from_form(form: CanonicalForm, n: int) -> CoverSpec:
     row-wise, as in ``action.divisibility_criterion``: from w = e_i, each
     final nonzero w_t subtracts w_t U_t from the entries right of t, and
     w_t = 0 for t < i.
+
+    The exponents ascend, so the factors p^(e_j), e_j > 0, ascend and end
+    in p^k, and each image is reduced mod them as it is built: the cover
+    is filled in by ``_trusted_cover`` over the form's ring.
     """
     if not form.colperm.is_identity:
         raise CoverValidationError(
@@ -314,7 +318,24 @@ def cover_from_form(form: CanonicalForm, n: int) -> CoverSpec:
         (-sum(row[j] for row in images)) % q for j, q in enumerate(factors)
     )
     images.append(last)
-    return CoverSpec(p, k, n, factors, tuple(images))
+    return _trusted_cover(ctx, n, factors, tuple(images))
+
+
+def _trusted_cover(ctx: ModulusContext, n: int, factor_orders: tuple[int, ...],
+                   images: tuple[Vector, ...]) -> CoverSpec:
+    """A ``CoverSpec`` over the ring ``ctx`` from fields the caller has
+    just built: n >= 2 image rows, each reduced mod the factor orders,
+    which are positive powers of p, ascending and ending in p^k.  Filled in
+    without ``__post_init__``'s re-checks; a direct ``CoverSpec(...)``
+    still checks them."""
+    spec = object.__new__(CoverSpec)
+    object.__setattr__(spec, "p", ctx.p)
+    object.__setattr__(spec, "k", ctx.k)
+    object.__setattr__(spec, "n", n)
+    object.__setattr__(spec, "factor_orders", factor_orders)
+    object.__setattr__(spec, "images", images)
+    object.__setattr__(spec, "ctx", ctx)
+    return spec
 
 
 def equivalent(s1: CoverSpec, s2: CoverSpec, strict: bool = True) -> Perm | None:

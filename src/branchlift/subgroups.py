@@ -658,11 +658,15 @@ def rebuild(form: CanonicalForm) -> Subgroup:
     """The subgroup generated by the rows a form describes.  Under the
     identity column permutation those rows p^(e_i) U_i are already the
     Howell basis of their span (see ``canonical_form``), so they are not
-    reduced again."""
+    reduced again.  Under any other they are eliminated by
+    ``_howell_columns`` directly, as ``howell_reduce`` would, without its
+    checks: they are canonical residues of the form's width, and none is
+    zero, as p^(e_i) < p^k sits in the column omega^-1(i)."""
     rows = generating_rows(form)
     if form.colperm.is_identity:
         return _trusted_subgroup(form.ctx, form.width, rows)
-    return span(form.ctx, form.width, rows)
+    basis, _ = _howell_columns([list(r) for r in rows], range(form.width), form.ctx.modulus)
+    return _trusted_subgroup(form.ctx, form.width, tuple(tuple(r) for r in basis))
 
 
 def quotient_invariants(sub: Subgroup) -> tuple[int, ...]:

@@ -253,8 +253,9 @@ def test_criterion_7_first_isomorphism(census_cache):
 
 
 def test_class_kernels_lift_as_by_membership(census_cache):
-    # the lifting check with relabelling agrees with membership alone, in
-    # verdict and witness, on every class kernel of the grid
+    # the lifting check by one p^m delta per transposition agrees with
+    # moving every basis row, in verdict and witness, on every class
+    # kernel of the grid
     checked = 0
     for p, k, n, _ in ACCEPTANCE_GRID:
         for rec in census_cache(p, k, n).classes:
@@ -262,5 +263,5 @@ def test_class_kernels_lift_as_by_membership(census_cache):
             assert verdict == fully_liftable_reference(rec.kernel), (p, k, n, rec.kernel.basis)
             assert (verdict.liftable, verdict.witness) == (rec.liftable, rec.witness)
             checked += 1
-    _report("lifting check by relabelling matches membership",
+    _report("lifting check by one vector per transposition matches membership",
             checked > 0, f"{checked} class kernels")

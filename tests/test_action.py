@@ -22,9 +22,9 @@ from branchlift import (
     span,
     swap_with_last,
 )
+from branchlift import action
 from branchlift.action import _carries_into
 from branchlift.orbits import _identity_bases
-from branchlift.subgroups import _relabel_columns
 from conftest import (
     ENUMERATED_GROUPS,
     all_perms,
@@ -168,33 +168,76 @@ def _count_membership(monkeypatch) -> list:
     return calls
 
 
-def test_invariant_under_relabels_adjacent_transpositions(monkeypatch):
-    calls = _count_membership(monkeypatch)
-    relabelled = span(Z2, 3, [(1, 0, 0)])
-    for gen, verdict in zip(generators(3)[:2], (False, True)):
-        assert invariant_under(relabelled, gen) is verdict
-        assert verdict == equal(act(gen, relabelled), relabelled)
-    assert calls == []
-    last = generators(3)[-1]
-    assert invariant_under(relabelled, last)
-    assert calls == [last.images]
-    # the row pivoting at column 0 is nonzero at column 1, so (1 2) is
-    # decided by membership
-    calls.clear()
-    tied = span(Z2, 3, [(1, 1, 0)])
-    assert invariant_under(tied, generators(3)[0])
-    assert calls == [generators(3)[0].images]
+def _transpositions_of(b):
+    return [Perm.transposition(b + 1, a, c) for a in range(1, b + 2) for c in range(a + 1, b + 2)]
+
+
+def _count_moved_rows(monkeypatch) -> list:
+    """Patch ``action._moved_row`` to record the row of each call."""
+    calls = []
+    real = action._moved_row
+
+    def counting(images, row):
+        calls.append(row)
+        return real(images, row)
+
+    monkeypatch.setattr("branchlift.action._moved_row", counting)
+    return calls
+
+
+def test_transpositions_take_one_membership_test(monkeypatch):
+    # a transposition is decided by the one vector p^m delta: no moved
+    # rows on either side; a 3-cycle keeps the row-by-row paths
+    sub = span(Z4, 3, [(1, 1, 1)])
+    form = canonical_form(sub)
+    assert form.colperm.is_identity and form.rank == 1
+    taus = _transpositions_of(3)
+    want = [equal(act(tau, sub), sub) for tau in taus]
+    assert set(want) == {True, False}
+    memberships = _count_membership(monkeypatch)
+    moved = _count_moved_rows(monkeypatch)
+    assert [invariant_under(sub, tau) for tau in taus] == want
+    assert [divisibility_criterion(form, tau) for tau in taus] == want
+    assert memberships == [] and moved == []
+    cycle = Perm([2, 3, 1, 4])
+    assert invariant_under(sub, cycle) and divisibility_criterion(form, cycle)
+    assert memberships == [cycle.images]
+    assert moved == [sub.basis[0], form.upper[0]]
+
+
+def _count_steps(monkeypatch) -> list:
+    """Patch ``action._least_step`` to record whether each step is zero."""
+    steps = []
+    real = action._least_step
+
+    def counting(basis, b, a, c, n):
+        vec = real(basis, b, a, c, n)
+        steps.append(vec is None)
+        return vec
+
+    monkeypatch.setattr("branchlift.action._least_step", counting)
+    return steps
 
 
 @pytest.mark.parametrize("p,k,n", [(2, 1, 3), (2, 2, 4), (3, 1, 5)])
-def test_fully_liftable_membership_only_for_last_swap(monkeypatch, p, k, n):
+def test_fully_liftable_takes_one_step_per_generator(monkeypatch, p, k, n):
+    # no moved rows: each generator up to the first failing one costs one
+    # p^m delta, zero for the zero subgroup, nonzero on the full group
     ctx, b = ModulusContext(p, k), n - 1
-    calls = _count_membership(monkeypatch)
+    memberships = _count_membership(monkeypatch)
+    steps = _count_steps(monkeypatch)
     full = span(ctx, b, identity_matrix(b))
-    for sub in (span(ctx, b, []), full):
-        calls.clear()
+    for sub, zero in ((span(ctx, b, []), True), (full, False)):
+        steps.clear()
         assert fully_liftable(sub).liftable
-        assert calls == [swap_with_last(b, b).images]
+        assert steps == [zero] * b
+    for f in enumerate_subgroups(p, k, b):
+        sub = rebuild(f)
+        steps.clear()
+        verdict = fully_liftable(sub)
+        tried = b if verdict.liftable else generators(b).index(verdict.witness) + 1
+        assert len(steps) == tried, (sub.basis, verdict)
+    assert memberships == []
 
 
 # The sweep benchmark's ambient groups with b <= 4 that ENUMERATED_GROUPS
@@ -204,15 +247,8 @@ _SWEEP_GROUPS = [(2, 2, 4), (2, 3, 3), (2, 4, 2), (3, 1, 4), (3, 2, 2),
 
 
 def test_fully_liftable_against_membership_reference(monkeypatch):
-    # both ways of deciding an adjacent transposition are taken
-    relabels = {True: 0, False: 0}
-
-    def counting(basis, c, swap):
-        moved = _relabel_columns(basis, c, swap)
-        relabels[moved is not None] += 1
-        return moved
-
-    monkeypatch.setattr("branchlift.action._relabel_columns", counting)
+    # the generator steps are both zero and nonzero
+    steps = _count_steps(monkeypatch)
     verdicts = set()
     witnesses = set()
     for p, k, b in ENUMERATED_GROUPS + _SWEEP_GROUPS:
@@ -225,7 +261,44 @@ def test_fully_liftable_against_membership_reference(monkeypatch):
                 witnesses.add(verdict.witness.images[-1] != b + 1)
     assert verdicts == {True, False}
     assert witnesses == {True, False}
-    assert relabels[True] and relabels[False]
+    assert set(steps) == {True, False}
+
+
+def test_every_transposition_against_act():
+    # every transposition, not only the generators, on every subgroup and
+    # on its twin with identity column permutation, through both tests;
+    # each kind of transposition, (a c) and (a n), gets both verdicts
+    seen = set()
+    for p, k, b in ENUMERATED_GROUPS + _SWEEP_GROUPS:
+        taus = _transpositions_of(b)
+        for f in enumerate_subgroups(p, k, b):
+            sub = rebuild(f)
+            twin, form = omega_normalize(sub)
+            for tau in taus:
+                want = equal(act(tau, sub), sub)
+                assert invariant_under(sub, tau) == want, (sub.basis, tau)
+                want = equal(act(tau, twin), twin)
+                assert invariant_under(twin, tau) == want, (twin.basis, tau)
+                assert divisibility_criterion(form, tau) == want, (form, tau)
+                seen.add((tau.images[-1] == b + 1, want))
+    assert seen == {(last, verdict) for last in (True, False) for verdict in (True, False)}
+
+
+def test_every_permutation_against_act_at_2_2_3():
+    # all of S_4, so the row-by-row paths of 3-cycles, 4-cycles and
+    # double transpositions are covered too
+    perms = all_perms(4)
+    verdicts = set()
+    for f in enumerate_subgroups(2, 2, 3):
+        sub = rebuild(f)
+        twin, form = omega_normalize(sub)
+        for alpha in perms:
+            want = equal(act(alpha, twin), twin)
+            assert invariant_under(sub, alpha) == equal(act(alpha, sub), sub), (sub.basis, alpha)
+            assert invariant_under(twin, alpha) == want, (twin.basis, alpha)
+            assert divisibility_criterion(form, alpha) == want, (form, alpha)
+            verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_act_examples():

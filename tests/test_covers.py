@@ -336,7 +336,10 @@ def test_cover_from_form_errors():
 def test_cover_from_form_against_inverse(p, k, b):
     # loop i goes to row i of U^-1 from the first nonzero exponent on,
     # and the last loop to minus the sum of the others, with U^-1 from
-    # the explicit reference inverse
+    # the explicit reference inverse; the seeds of rank below b are every
+    # form with top exponent k.  cover_from_form skips CoverSpec's checks,
+    # so the checked constructor on the same fields is the reference for
+    # the rest: value, hash, ring, and a kernel still eliminated afresh.
     ctx = ModulusContext(p, k)
     count = 0
     for basis in _identity_bases(ctx, b, max_rank=b - 1):
@@ -349,6 +352,11 @@ def test_cover_from_form_against_inverse(p, k, b):
         images.append(tuple(-sum(col) % q for col, q in zip(zip(*images), factors)))
         spec = cover_from_form(form, b + 1)
         assert (spec.factor_orders, spec.images) == (factors, tuple(images)), form
+        checked = CoverSpec(p, k, b + 1, factors, tuple(images))
+        assert spec == checked and hash(spec) == hash(checked), form
+        assert spec.ctx == checked.ctx and spec.ctx is form.ctx
+        assert all(type(row) is tuple for row in spec.images)
+        assert kernel(spec, strict=False).basis == basis
         count += 1
     assert count
 

@@ -476,10 +476,21 @@ def test_canonical_form_of_hand_built_identity_looking_bases():
 @pytest.mark.parametrize("p,k,b", ENUMERATED_GROUPS)
 def test_rebuild_is_the_howell_reduction_of_the_generating_rows(p, k, b):
     # ``rebuild`` skips the reduction under the identity column
-    # permutation; the seeds are the bases it then returns.
+    # permutation; the seeds are the bases it then returns.  Under any
+    # other it eliminates without span's checks, so span of the same rows
+    # is the reference, field by field, and neither holds a stored form.
     ctx = ModulusContext(p, k)
+    moved = 0
     for form in enumerate_subgroups(p, k, b):
-        assert rebuild(form).basis == howell_reduce(ctx, b, generating_rows(form))
+        sub = rebuild(form)
+        want = span(ctx, b, generating_rows(form))
+        assert sub.basis == howell_reduce(ctx, b, generating_rows(form))
+        assert sub == want and hash(sub) == hash(want), form
+        assert (sub.ctx, sub.width) == (want.ctx, want.width)
+        assert all(type(row) is tuple for row in sub.basis)
+        assert subgroups._FORM_KEY not in sub.__dict__
+        moved += not form.colperm.is_identity
+    assert moved
     for seed in _identity_bases(ctx, b, max_rank=b):
         assert howell_reduce(ctx, b, seed) == seed
         form = canonical_form(Subgroup(ctx, b, seed))
