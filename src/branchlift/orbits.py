@@ -175,10 +175,16 @@ def _orbit(ctx: ModulusContext, b: int, seed: Matrix) -> list[Matrix]:
     generators s_i, s_h satisfy (s_i s_h)^m = 1, with m = 3 when
     |i - h| = 1 (the braid relation of adjacent transpositions) and m = 2
     otherwise (disjoint transpositions commute).  Hence s_i equals the
-    word h, i, h, ..., h of 2m - 1 letters, and before generator i is
-    computed at x, each such word is followed from x through the table
-    (a word whose first edge is unknown is skipped at once); if every
-    letter is known the word ends at s_i x.
+    word h, i, h, ..., h of 2m - 1 letters.  Before generator i is
+    computed at x, the walk checks the squares, then the hexagons: for
+    each h commuting with i (|i - h| > 1) it reads h, i, h from x
+    through the table, and for each braid neighbour h (|i - h| = 1)
+    h, i, h, i, h, each word as straight-line table reads that stop at
+    the first unknown entry.  If every entry is known the word ends at
+    s_i x.  The order of trying the words changes no step: whether some
+    word completes depends only on the table, and every word that
+    completes ends at the same basis s_i x, so the edge recorded, and
+    with it every later step, is the same in any order.
 
     The bases are expanded breadth first, in the order found.  At each
     unknown edge the walk deduces, else computes (n 1) or tries the
@@ -202,10 +208,10 @@ def _orbit(ctx: ModulusContext, b: int, seed: Matrix) -> list[Matrix]:
     do not depend on the order.
     """
     gens = range(b)
-    words = [
-        [(h, (i, h) * (2 if abs(i - h) == 1 else 1)) for h in gens if h != i]
-        for i in gens
-    ]
+    # For each generator i: the generators that commute with it (word
+    # h, i, h) and its braid neighbours (word h, i, h, i, h).
+    commuting = [tuple(h for h in gens if abs(i - h) > 1) for i in gens]
+    braided = [tuple(h for h in gens if abs(i - h) == 1) for i in gens]
     swaps = [None, *(_column_swap(b, i - 1) for i in range(1, b))]
     elems = [seed]
     index = {seed: 0}
@@ -231,16 +237,27 @@ def _orbit(ctx: ModulusContext, b: int, seed: Matrix) -> list[Matrix]:
             if row[i] is not None:
                 continue
             y = None
-            for h, rest in words[i]:
+            for h in commuting[i]:
                 y = row[h]
-                if y is None:
-                    continue
-                for letter in rest:
-                    y = table[y][letter]
-                    if y is None:
-                        break
-                else:
-                    break
+                if y is not None:
+                    y = table[y][i]
+                    if y is not None:
+                        y = table[y][h]
+                        if y is not None:
+                            break
+            if y is None:
+                for h in braided[i]:
+                    y = row[h]
+                    if y is not None:
+                        y = table[y][i]
+                        if y is not None:
+                            y = table[y][h]
+                            if y is not None:
+                                y = table[y][i]
+                                if y is not None:
+                                    y = table[y][h]
+                                    if y is not None:
+                                        break
             if y is None:
                 if not i:
                     moved = _swap_1n(ctx, cur)
@@ -251,9 +268,8 @@ def _orbit(ctx: ModulusContext, b: int, seed: Matrix) -> list[Matrix]:
                     if moved is None:
                         deferred.append(x * b + i)
                         continue
-                y = index.get(moved)
-                if y is None:
-                    y = index[moved] = len(elems)
+                y = index.setdefault(moved, len(elems))
+                if y == len(elems):
                     elems.append(moved)
                     table.append([None] * b)
             row[i] = y
@@ -315,8 +331,11 @@ def _orbits(ctx: ModulusContext, b: int, max_rank: int) -> Iterator[list[Matrix]
     """
     pending: set[Matrix] = set()
     for seed in _identity_bases(ctx, b, max_rank):
-        if seed in pending:
-            pending.remove(seed)
+        # One hash: the seed was pending exactly when discarding it
+        # shrinks the set.
+        size = len(pending)
+        pending.discard(seed)
+        if len(pending) < size:
             continue
         orbit = _orbit(ctx, b, seed)
         pending.update(x for x in orbit[1:] if _identity_shape(x))

@@ -10,12 +10,13 @@ from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from branchlift import LiftVerdict, Matrix, ModulusContext, Perm, classify, howell_reduce
+from branchlift import LiftVerdict, Matrix, ModulusContext, Perm, classify, howell_reduce, orbits
 from branchlift.action import _carries_into
 from branchlift.covers import _embedded_rows, _failure_codes, require_valid
 from branchlift.modular import _val
 from branchlift.subgroups import (
     _check_width,
+    _column_swap,
     _howell_columns,
     _identity_tail,
     _pivots,
@@ -206,6 +207,70 @@ def unlift(lifted: Matrix) -> Matrix:
     all-ones vector, so row 0 pivots at column 0 with entry 1, and the
     other rows are (0 | row) for the subgroup's basis rows."""
     return tuple(row[1:] for row in lifted[1:])
+
+
+def orbit_reference(ctx: ModulusContext, b: int, seed: Matrix) -> list[Matrix]:
+    """The orbit walk of ``orbits._orbit`` with a generic deduction: the
+    same steps, deferral and order, but each relator word h, i, h, ... is
+    followed letter by letter, the words in ascending order of h, and a
+    new basis is looked up and then stored.  It takes its steps from
+    ``orbits`` at call time, so a test that records them there records
+    both walks.  The reference against which the walk's steps, its bases
+    and their order are checked."""
+    gens = range(b)
+    words = [
+        [(h, (i, h) * (2 if abs(i - h) == 1 else 1)) for h in gens if h != i]
+        for i in gens
+    ]
+    swaps = [None, *(_column_swap(b, i - 1) for i in range(1, b))]
+    elems = [seed]
+    index = {seed: 0}
+    table: list[list[int | None]] = [[None] * b]
+    deferred = []
+    expanded = taken = 0
+    while True:
+        if expanded < len(elems):
+            x, todo, last = expanded, gens, False
+            expanded += 1
+        elif taken < len(deferred):
+            x, i = deferred[taken]
+            todo, last = (i,), True
+            taken += 1
+        else:
+            return elems
+        row = table[x]
+        cur = elems[x]
+        for i in todo:
+            if row[i] is not None:
+                continue
+            y = None
+            for h, rest in words[i]:
+                y = row[h]
+                if y is None:
+                    continue
+                for letter in rest:
+                    y = table[y][letter]
+                    if y is None:
+                        break
+                else:
+                    break
+            if y is None:
+                if not i:
+                    moved = orbits._swap_1n(ctx, cur)
+                elif last:
+                    moved = orbits._swap_columns(ctx, cur, i - 1, swaps[i])
+                else:
+                    moved = orbits._relabel_columns(cur, i - 1, swaps[i])
+                    if moved is None:
+                        deferred.append((x, i))
+                        continue
+                y = index.get(moved)
+                if y is None:
+                    y = index[moved] = len(elems)
+                    elems.append(moved)
+                    table.append([None] * b)
+            row[i] = y
+            table[y][i] = x
 
 
 def identity_matrix(n: int) -> Matrix:

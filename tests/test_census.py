@@ -47,6 +47,7 @@ from conftest import (
     all_perms,
     gaussian_binomial,
     lift,
+    orbit_reference,
     subgroup_count,
     unlift,
 )
@@ -217,6 +218,54 @@ def test_orbit_walk_matches_reference_on_subgroups(p, k, b):
         assert walked[0] == seed
         assert len(set(walked)) == len(walked)
         assert set(walked) == {unlift(x) for x in _reference_orbit(ctx, lift(ctx, b, seed))}
+
+
+@pytest.mark.parametrize(
+    "p,k,b,max_rank",
+    [*((p, k, b, b) for p, k, b in ENUMERATED_GROUPS), (2, 2, 1, 1), (2, 2, 3, 2), (2, 1, 5, 4)],
+    ids=[*(f"{p}-{k}-{b}" for p, k, b in ENUMERATED_GROUPS),
+         "2-2-1", "census-2-2-4", "census-2-1-6"],
+)
+def test_orbit_walk_is_the_letter_by_letter_walk(monkeypatch, p, k, b, max_rank):
+    # The straight-line deduction tries the commuting words before the
+    # braid words; the reference follows every word letter by letter in
+    # ascending order of h.  Any word that completes ends at s_i x, so
+    # both walks take the same steps, declined relabellings included, and
+    # find the same bases in the same order, from every seed of every
+    # rank of the enumerated groups (at b = 2 no generator has a
+    # commuting partner, at b = 1 there is no word at all) and from the
+    # census seeds of (2,2,4) and (2,1,6).  The bases alone would not
+    # tell: a deduction missed costs a step but finds no new basis.
+    steps = []
+    real_relabel = orbits._relabel_columns
+    real_swap, real_swap_1n = orbits._swap_columns, orbits._swap_1n
+
+    def relabel(basis, c, swap):
+        steps.append(("relabel", basis, c))
+        return real_relabel(basis, c, swap)
+
+    def swap(ctx, basis, c, swap=None):
+        steps.append(("swap", basis, c))
+        return real_swap(ctx, basis, c, swap)
+
+    def swap_1n(ctx, basis):
+        steps.append(("swap_1n", basis))
+        return real_swap_1n(ctx, basis)
+
+    monkeypatch.setattr(orbits, "_relabel_columns", relabel)
+    monkeypatch.setattr(orbits, "_swap_columns", swap)
+    monkeypatch.setattr(orbits, "_swap_1n", swap_1n)
+    ctx = ModulusContext(p, k)
+    seeds = 0
+    for seed in _identity_bases(ctx, b, max_rank):
+        seeds += 1
+        walked = orbits._orbit(ctx, b, seed)
+        walked_steps = steps[:]
+        steps.clear()
+        assert walked == orbit_reference(ctx, b, seed)
+        assert walked_steps == steps
+        steps.clear()
+    assert seeds > 1
 
 
 @pytest.mark.parametrize("p,k,b", [(2, 2, 3), (3, 1, 3)])
