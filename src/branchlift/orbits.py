@@ -164,7 +164,8 @@ def _orbit(ctx: ModulusContext, b: int, seed: Matrix) -> list[Matrix]:
     Generator i >= 1 fixes n, so it permutes the coordinates x_j - x_n of
     (Z/p^k)^b: it swaps columns i - 1 and i of the subgroup's own basis,
     by a relabelling (``_relabel_columns``) or, when the row pivoting at
-    column i - 1 meets column i, by an elimination (``_swap_columns``).
+    column i - 1 meets column i, by an elimination: the Howell reduction
+    of the swapped rows (``_swap_columns``).
     Only generator 0 moves n, and ``_swap_1n`` computes its image on the
     same basis.
 

@@ -246,63 +246,22 @@ def _swap_columns(ctx: ModulusContext, basis: Matrix, c: int,
     swapped, for a Howell basis ``basis``; columns count from 0, and
     ``swap``, if given, is ``_column_swap(width, c)``.
 
-    The relabelling (``_relabel_columns``) when it applies.  Otherwise
-    the row pivoting at c is nonzero at c+1, and, with A, B, C, S and S'
-    as there, only B is eliminated again, and only on columns c and c+1:
-
-    * C stays as it is.  By the Howell property C spans the elements of
-      S vanishing on columns 0..c+1.  The swap maps that set onto the
-      elements of S' vanishing there and fixes each of them, so C spans
-      them too, and C keeps its pivots, reduced entries and zeros.
-    * The elements of S vanishing left of c are spanned by B and C, so
-      their images, the elements of S' vanishing left of c, are spanned
-      by swapped B and C.  ``_howell_columns`` on swapped B over column
-      c, then over column c+1 with the shadow of the column-c pivot in
-      the pool, gives new pivot rows at c and c+1 whose span with the
-      pool left over is that of swapped B.  The leftover rows, the shadow
-      of the column-(c+1) pivot among them, vanish on columns 0..c+1, so
-      they lie in the span of C and are dropped.  Hence the new pivot
-      rows and C span the elements of S' vanishing left of c, and for
-      column c+1 the new column-(c+1) pivot row and C span those
-      vanishing left of c+1, as the column-c elimination shows.
-    * For a column j < c the elements of S' vanishing left of j are the
-      images of those of S, spanned by the swapped rows of A pivoting at
-      or right of j together with swapped B and C, and so by those A rows
-      with the new pivot rows and C.  A row of A keeps its pivot, since
-      the swap moves only columns right of it.
-
-    So the rows of A, the new pivot rows and C, in that order, have the
-    Howell property for S'.  What remains is the above-pivot reduction.
-    A row zero at columns c and c+1 is unchanged by the swap and meets no
-    new pivot, so its entries stay reduced.  The new pivot rows come out
-    reduced above each other and are then reduced against the pivots of
-    C; the rows of A nonzero at c or c+1 are reduced in ascending column
-    order against the new pivots and those of C.  Each subtraction
-    changes entries right of its pivot column only, which leaves every
-    entry reduced earlier as it was.  By uniqueness the result is
-    ``howell_reduce`` of the swapped rows.
+    The ``_howell_columns`` elimination of the swapped rows over every
+    column, as ``rebuild`` does for a permuted form, without the checks of
+    ``howell_reduce``: the swapped rows are canonical residues, and none
+    is zero.  The Howell basis of a span is unique, so this is
+    ``howell_reduce`` of the swapped rows, and the relabelling
+    (``_relabel_columns``) where that applies.  The orbit walk calls it
+    only where the relabelling does not apply; there an update of the two
+    columns alone was measured to cost as much.
     """
-    if swap is None and basis:
-        swap = _column_swap(len(basis[0]), c)
-    moved = _relabel_columns(basis, c, swap)
-    if moved is not None:
-        return moved
-    n = ctx.modulus
-    d = c + 1
-    lo = 0
-    while any(basis[lo][:c]):
-        lo += 1
-    hi = lo + 1
-    while hi < len(basis) and basis[hi][d]:
-        hi += 1
-    tail = basis[hi:]
-    pivots = _pivots(tail)
-    new_pivots, _ = _howell_columns([list(swap(r)) for r in basis[lo:hi]], (c, d), n)
-    placed = [tuple(_reduce_above(r, pivots, n)) for r in new_pivots]
-    pivots[:0] = _pivots(placed)
-    head = [tuple(_reduce_above(swap(r), pivots, n)) if r[c] or r[d] else r
-            for r in basis[:lo]]
-    return (*head, *placed, *tail)
+    if not basis:
+        return basis
+    width = len(basis[0])
+    if swap is None:
+        swap = _column_swap(width, c)
+    rows, _ = _howell_columns([list(swap(r)) for r in basis], range(width), ctx.modulus)
+    return tuple(tuple(r) for r in rows)
 
 
 # The instance key under which ``canonical_form`` stores a subgroup's form.

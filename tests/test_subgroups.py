@@ -32,7 +32,7 @@ from branchlift import (
 )
 from branchlift import subgroups
 from branchlift.orbits import _identity_bases
-from branchlift.subgroups import _swap_columns, generating_rows
+from branchlift.subgroups import _column_swap, _relabel_columns, _swap_columns, generating_rows
 from conftest import (
     ENUMERATED_GROUPS,
     brute_all_subgroups,
@@ -174,7 +174,9 @@ def _random_rows(rng, ctx, width):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_swap_columns_matches_full_reduction(seed):
-    # The local update against a full Howell reduction of the swapped rows.
+    # The swap against a full Howell reduction of the swapped rows, and
+    # the relabelling, which declines exactly when the row pivoting at c
+    # is nonzero at c+1, against the same reduction.
     rng = random.Random(seed)
     for _ in range(400):
         ctx = ModulusContext(rng.choice([2, 3, 5]), rng.randint(1, 4))
@@ -182,7 +184,11 @@ def test_swap_columns_matches_full_reduction(seed):
         basis = howell_reduce(ctx, width, _random_rows(rng, ctx, width))
         for c in range(width - 1):
             swapped = [[*r[:c], r[c + 1], r[c], *r[c + 2:]] for r in basis]
-            assert _swap_columns(ctx, basis, c) == howell_reduce(ctx, width, swapped)
+            want = howell_reduce(ctx, width, swapped)
+            assert _swap_columns(ctx, basis, c) == want
+            declines = any(r[c + 1] for r in basis if r[c] and not any(r[:c]))
+            assert _relabel_columns(basis, c, _column_swap(width, c)) == (
+                None if declines else want)
 
 
 # Spanning rows over Z/p^2 in (Z/p^2)^4, swapped at columns 1 and 2, for
@@ -203,7 +209,7 @@ SWAP_CASES = {
 
 @pytest.mark.parametrize("case", SWAP_CASES)
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_swap_columns_cases(p, case):
+def test_swap_columns_cases(monkeypatch, p, case):
     rows, pivot_cols, relabels = SWAP_CASES[case]
     ctx = ModulusContext(p, 2)
     c = 1
@@ -222,6 +228,14 @@ def test_swap_columns_cases(p, case):
         i = leads.index(c)
         swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
     assert (result == tuple(swapped)) == relabels
+    assert _relabel_columns(basis, c, _column_swap(4, c)) == (result if relabels else None)
+
+    # The swap is the elimination alone: it tries no relabelling first.
+    def no_relabel(*args):
+        raise AssertionError("_swap_columns tried the relabelling")
+
+    monkeypatch.setattr(subgroups, "_relabel_columns", no_relabel)
+    assert _swap_columns(ctx, basis, c) == result
 
 
 @settings(max_examples=100, deadline=None)
