@@ -24,6 +24,8 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -486,6 +488,57 @@ def atlas_filename(p: int, k: int, n: int) -> str:
     return f"census_p{p}_k{k}_n{n}.json"
 
 
+@lru_cache(maxsize=1024)
+def _int_list_template(length: int, indent: str) -> str:
+    """A list of ``length`` plain ints at ``indent`` as
+    ``json.dumps(..., indent=2)`` lays it out, with a ``%d`` per entry."""
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(["%d"] * length) + "\n" + indent + "]"
+
+
+def _render(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for the values an
+    atlas holds: dicts with str keys, lists, tuples, ints, strs, bools and
+    None, at ``indent``.  Any other value raises TypeError, so none is
+    rendered wrongly.
+
+    With an indent the standard library leaves its C encoder for
+    generators that collect every token before joining them.  This fills
+    a list of plain ints (bools are not ints here) into one template kept
+    per (length, indent), and joins the pieces of any other container
+    once, so a container's text is copied once into its parent's."""
+    kind = type(value)
+    if kind is int:
+        return "%d" % value
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is not list and kind is not tuple and kind is not dict:
+        raise TypeError(f"the atlas cannot hold a {kind.__name__}")
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if kind is dict:
+        parts = ["{\n" + inner]
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"an atlas key must be a str, not a {type(key).__name__}")
+            parts += encode_basestring_ascii(key), ": ", _render(item, inner), sep
+        parts[-1] = "\n" + indent + "}"
+        return "".join(parts)
+    if all(type(item) is int for item in value):
+        return _int_list_template(len(value), indent) % tuple(value)
+    parts = ["[\n" + inner]
+    for item in value:
+        parts += _render(item, inner), sep
+    parts[-1] = "\n" + indent + "]"
+    return "".join(parts)
+
+
 def write_atlas(report: CensusReport, directory: str | Path) -> Path:
     """Write one JSON document per census run.
 
@@ -509,7 +562,7 @@ def write_atlas(report: CensusReport, directory: str | Path) -> Path:
             return path
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(doc, indent=2) + "\n")
+        tmp.write_text(_render(doc) + "\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -345,7 +346,12 @@ def cmd_audit(args) -> int:
     return 0 if clean else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and kept: every action
+    stores into the namespace of its own ``parse_args`` call, and the
+    output directory's environment variable is read when a command runs,
+    so no call carries state into the next."""
     parser = argparse.ArgumentParser(
         prog="branchlift",
         description="Abelian branched covers of the sphere: lifting checks and censuses.",

@@ -247,6 +247,35 @@ def test_verify_writes_atlases(tmp_path, capsys):
     assert (tmp_path / "census_p2_k1_n4.json").exists()
 
 
+def test_back_to_back_calls_share_no_state(tmp_path, capsys, monkeypatch):
+    # main keeps one parser for the process; a flag, an option or a bound
+    # given to one call must not carry over to the next
+    monkeypatch.delenv("BRANCHLIFT_OUTPUT_DIR", raising=False)
+    unbranched = ("check", "--p", "2", "--k", "1", "--n", "4",
+                  "--factors", "2", "--images", "1;1;0;0")
+    assert run_cli(capsys, unbranched[0], "--lax", *unbranched[1:])[0] == 1
+    assert run_cli(capsys, *unbranched)[0] == 2
+    point = ("classify", "--p", "3", "--k", "1", "--n", "3")
+    option, env = tmp_path / "option", tmp_path / "env"
+    assert run_cli(capsys, *point, "--output", str(option))[0] == 0
+    monkeypatch.setenv("BRANCHLIFT_OUTPUT_DIR", str(env))
+    assert run_cli(capsys, *point)[0] == 0
+    assert [f.name for f in env.iterdir()] == ["census_p3_k1_n3.json"]
+    assert [f.name for f in option.iterdir()] == ["census_p3_k1_n3.json"]
+    assert run_cli(capsys, *point, "--bound", "1")[0] == 3
+    assert run_cli(capsys, *point)[0] == 0
+    assert branchlift.cli.build_parser() is branchlift.cli.build_parser()
+
+
+def test_parser_built_on_first_call_not_at_import():
+    src = str(Path(branchlift.__file__).resolve().parents[1])
+    code = ("import branchlift.cli as cli; "
+            "assert cli.build_parser.cache_info().currsize == 0")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("command", [
     ["classify", "--p", "3", "--k", "1", "--n", "3"],
     ["verify", "--grid", "2,1,3"],
