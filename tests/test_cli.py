@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import branchlift
+from branchlift import census
 from branchlift.cli import main
 
 
@@ -265,6 +268,11 @@ def test_back_to_back_calls_share_no_state(tmp_path, capsys, monkeypatch):
     assert run_cli(capsys, *point, "--bound", "1")[0] == 3
     assert run_cli(capsys, *point)[0] == 0
     assert branchlift.cli.build_parser() is branchlift.cli.build_parser()
+    # the format is read on each call: JSON, then text when none is given
+    liftable = ("check", "--p", "2", "--k", "1", "--n", "3",
+                "--factors", "2,2", "--images", "1,0;0,1;1,1")
+    assert json.loads(run_cli(capsys, *liftable, "--format", "json")[1])["liftable"] is True
+    assert run_cli(capsys, *liftable)[1] == "liftable\nkernel order 1\ndeck group Z2 x Z2\n"
 
 
 def test_parser_built_on_first_call_not_at_import():
@@ -486,3 +494,283 @@ def test_huge_general_factor_order_refused_at_once(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "modulus p^k = 1000000000000000003 exceeds 65536" in json.loads(proc.stderr)["error"]
+
+
+def _doc(value) -> str:
+    """The stdout of a command printing ``value`` as one indented document."""
+    return json.dumps(value, indent=2) + "\n"
+
+
+def _pinned(out: str, want: str) -> str:
+    """``out`` as a pin compares it: the text itself, or for a census output
+    pinned as ``sha256:...`` the SHA-256 of the text with every
+    ``elapsed_ms`` value set to 0."""
+    if not want.startswith("sha256:"):
+        return out
+    stable = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
+    return "sha256:" + hashlib.sha256(stable.encode()).hexdigest()
+
+
+GENERAL_COVERS = {
+    "general_liftable.json": {"n": 6, "factors": [6], "images": [[1]] * 6},
+    "general_not_liftable.json": {"n": 4, "factors": [6], "images": [[1], [1], [5], [5]]},
+}
+
+# (arguments, exit code, text stdout, JSON stdout, stderr); "{dir}" in an
+# argument is the directory holding GENERAL_COVERS
+CLI_PINS = [
+    pytest.param(
+        ("check", "--p", "2", "--k", "1", "--n", "3", "--factors", "2,2",
+         "--images", "1,0;0,1;1,1"), 0,
+        "liftable\n"
+        "kernel order 1\n"
+        "deck group Z2 x Z2\n",
+        _doc({"liftable": True, "witness": None, "kernel_order": 1, "deck_group": "Z2 x Z2"}),
+        "",
+        id="check-liftable",
+    ),
+    pytest.param(
+        ("check", "--p", "2", "--k", "2", "--n", "4", "--factors", "2,4",
+         "--images", "1,1;0,1;0,1;1,1"), 1,
+        "not liftable (witness (1 2))\n"
+        "kernel order 8\n"
+        "deck group Z2 x Z4\n",
+        _doc({"liftable": False, "witness": "(1 2)", "kernel_order": 8, "deck_group": "Z2 x Z4"}),
+        "",
+        id="check-adjacent-witness",
+    ),
+    pytest.param(
+        ("check", "--lax", "--p", "2", "--k", "1", "--n", "3", "--factors", "2",
+         "--images", "1;1;0"), 1,
+        "not liftable (witness (2 3))\n"
+        "kernel order 2\n"
+        "deck group Z2\n",
+        _doc({"liftable": False, "witness": "(2 3)", "kernel_order": 2, "deck_group": "Z2"}),
+        "",
+        id="check-lax-last-witness",
+    ),
+    pytest.param(
+        ("check", "--p", "2", "--k", "1", "--n", "3", "--factors", "2", "--images", "1;1;0"), 2,
+        "",
+        "",
+        '{"error": "validation failed: ZeroBranchImage"}\n',
+        id="check-invalid",
+    ),
+    pytest.param(
+        ("check", "--input", "{dir}/general_liftable.json"), 0,
+        "liftable\n"
+        "  p=2 part Z2: liftable\n"
+        "  p=3 part Z3: liftable\n",
+        _doc({"liftable": True, "parts": [
+            {"p": 2, "k": 1, "deck_group": "Z2", "liftable": True, "witness": None},
+            {"p": 3, "k": 1, "deck_group": "Z3", "liftable": True, "witness": None},
+        ]}),
+        "",
+        id="check-general-liftable",
+    ),
+    pytest.param(
+        ("check", "--input", "{dir}/general_not_liftable.json"), 1,
+        "not liftable\n"
+        "  p=2 part Z2: liftable\n"
+        "  p=3 part Z3: not liftable (witness (2 3))\n",
+        _doc({"liftable": False, "parts": [
+            {"p": 2, "k": 1, "deck_group": "Z2", "liftable": True, "witness": None},
+            {"p": 3, "k": 1, "deck_group": "Z3", "liftable": False, "witness": "(2 3)"},
+        ]}),
+        "",
+        id="check-general-not-liftable",
+    ),
+    pytest.param(
+        ("canonical", "--p", "2", "--k", "2", "--gens", "2,1"), 0,
+        "subgroup of (Z/4)^2 with 2 basis rows, order 4\n"
+        "basis:\n"
+        "  [2 1]\n"
+        "  [0 2]\n"
+        "rank 1, exponents [0, 2]\n"
+        "upper cofactor:\n"
+        "  [1 2]\n"
+        "  [0 1]\n"
+        "column permutation: (1 2)\n"
+        "round trip: ok\n",
+        _doc({"subgroup": {"p": 2, "k": 2, "m": 2, "basis": [[2, 1], [0, 2]]}, "order": 4,
+              "rank": 1, "exponents": [0, 2], "upper": [[1, 2], [0, 1]], "colperm": "(1 2)"}),
+        "",
+        id="canonical-eliminated",
+    ),
+    pytest.param(
+        ("canonical", "--p", "2", "--k", "2", "--gens", "1,1;0,2"), 0,
+        "subgroup of (Z/4)^2 with 2 basis rows, order 8\n"
+        "basis:\n"
+        "  [1 1]\n"
+        "  [0 2]\n"
+        "rank 2, exponents [0, 1]\n"
+        "upper cofactor:\n"
+        "  [1 1]\n"
+        "  [0 1]\n"
+        "column permutation: ()\n"
+        "round trip: ok\n",
+        _doc({"subgroup": {"p": 2, "k": 2, "m": 2, "basis": [[1, 1], [0, 2]]}, "order": 8,
+              "rank": 2, "exponents": [0, 1], "upper": [[1, 1], [0, 1]], "colperm": "()"}),
+        "",
+        id="canonical-identity-shape",
+    ),
+    pytest.param(
+        ("canonical", "--p", "2", "--k", "1", "--m", "2", "--gens", ""), 0,
+        "subgroup of (Z/2)^2 with 0 basis rows, order 1\n"
+        "basis:\n"
+        "  (empty)\n"
+        "rank 0, exponents [1, 1]\n"
+        "upper cofactor:\n"
+        "  [1 0]\n"
+        "  [0 1]\n"
+        "column permutation: ()\n"
+        "round trip: ok\n",
+        _doc({"subgroup": {"p": 2, "k": 1, "m": 2, "basis": []}, "order": 1,
+              "rank": 0, "exponents": [1, 1], "upper": [[1, 0], [0, 1]], "colperm": "()"}),
+        "",
+        id="canonical-empty",
+    ),
+    pytest.param(
+        ("classify", "--p", "2", "--k", "2", "--n", "2"), 0,
+        "n=2: 3 subgroups, all liftable: True; 1 cover class with deck group Z4\n",
+        _doc({"p": 2, "k": 2, "n": 2, "subgroups": [
+            {"p": 2, "k": 2, "m": 1, "basis": [[1]]},
+            {"p": 2, "k": 2, "m": 1, "basis": [[2]]},
+            {"p": 2, "k": 2, "m": 1, "basis": []},
+        ], "all_liftable": True, "cover_classes": 1}),
+        "",
+        id="classify-n2",
+    ),
+    pytest.param(
+        ("classify", "--p", "2", "--k", "2", "--n", "5"), 0,
+        "sha256:4e2a261caf9bb638d258b90a7da2cedb2598f7a5c936c52b834875dcccfa143e",
+        "sha256:c720f7be1a0d5a002dafc0bb1560bde1f4b582c3140588fbb8d3cc5494a20296",
+        "",
+        id="classify-census",
+    ),
+    pytest.param(
+        ("classify", "--lax", "--p", "3", "--k", "1", "--n", "4"), 0,
+        "census p=3 k=1 n=4: 7 classes, 1 liftable, match=yes\n"
+        "  deck Z3 x Z3 x Z3         kernel order 1      class size 1     liftable family 1\n"
+        "  deck Z3 x Z3              kernel order 3      class size 4     not liftable\n"
+        "  deck Z3 x Z3              kernel order 3      class size 3     not liftable\n"
+        "  deck Z3 x Z3              kernel order 3      class size 6     not liftable\n"
+        "  deck Z3                   kernel order 9      class size 6     not liftable\n"
+        "  deck Z3                   kernel order 9      class size 4     not liftable\n"
+        "  deck Z3                   kernel order 9      class size 3     not liftable\n",
+        "sha256:fd821eec374f373bc0c7f5315bd46987547ad7a2fa0b9c00345d744f5ceeda1c",
+        "",
+        id="classify-lax",
+    ),
+    pytest.param(
+        ("classify", "--p", "2", "--k", "2", "--n", "12", "--bound", "1024"), 3,
+        "",
+        "",
+        '{"error": "ambient group order p^(k*b) = 2^22 exceeds the bound 1024"}\n',
+        id="classify-bound-exceeded",
+    ),
+    pytest.param(
+        ("classify", "--p", "2", "--k", "1", "--n", "1"), 2,
+        "",
+        "",
+        '{"error": "a cover needs at least 2 marked points, got --n 1"}\n',
+        id="classify-n1",
+    ),
+    pytest.param(
+        ("verify",), 0,
+        "p=2 k=1 n=3: classes=1 liftable=1 match=yes\n"
+        "p=2 k=1 n=4: classes=3 liftable=2 match=yes\n"
+        "p=2 k=1 n=5: classes=3 liftable=1 match=yes\n"
+        "p=3 k=1 n=3: classes=2 liftable=2 match=yes\n"
+        "p=3 k=1 n=4: classes=4 liftable=1 match=yes\n"
+        "p=2 k=2 n=4: classes=17 liftable=3 match=yes\n"
+        "p=2 k=2 n=5: classes=57 liftable=1 match=yes\n"
+        "p=2 k=2 n=6: classes=364 liftable=2 match=yes\n"
+        "p=3 k=2 n=3: classes=5 liftable=2 match=yes\n"
+        "all match\n",
+        "sha256:a09c433b3b5977be47c3df15825c60e35e4b1145c6785303c5802d9451e1b3e7",
+        "",
+        id="verify-default",
+    ),
+    pytest.param(
+        ("verify", "--grid", "2,1,3;3,1,3"), 0,
+        "p=2 k=1 n=3: classes=1 liftable=1 match=yes\n"
+        "p=3 k=1 n=3: classes=2 liftable=2 match=yes\n"
+        "all match\n",
+        _doc({"all_match": True, "entries": [
+            {"p": 2, "k": 1, "n": 3, "match": True, "classes": 1, "liftable": 1,
+             "mismatches": []},
+            {"p": 3, "k": 1, "n": 3, "match": True, "classes": 2, "liftable": 2,
+             "mismatches": []},
+        ]}),
+        "",
+        id="verify-grid",
+    ),
+    pytest.param(
+        ("audit",), 0,
+        "audit p=2 k=1 n=3: 1 liftable kernels, ok\n"
+        "audit p=2 k=1 n=4: 2 liftable kernels, ok\n"
+        "audit p=2 k=1 n=5: 1 liftable kernels, ok\n"
+        "audit p=3 k=1 n=3: 2 liftable kernels, ok\n"
+        "audit p=3 k=1 n=4: 1 liftable kernels, ok\n"
+        "audit p=2 k=2 n=4: 3 liftable kernels, ok\n"
+        "audit p=2 k=2 n=5: 1 liftable kernels, ok\n"
+        "audit p=2 k=2 n=6: 2 liftable kernels, ok\n"
+        "audit p=3 k=2 n=3: 2 liftable kernels, ok\n",
+        '{"p": 2, "k": 1, "n": 3, "ok": true, "kernels": 1, "violations": []}\n'
+        '{"p": 2, "k": 1, "n": 4, "ok": true, "kernels": 2, "violations": []}\n'
+        '{"p": 2, "k": 1, "n": 5, "ok": true, "kernels": 1, "violations": []}\n'
+        '{"p": 3, "k": 1, "n": 3, "ok": true, "kernels": 2, "violations": []}\n'
+        '{"p": 3, "k": 1, "n": 4, "ok": true, "kernels": 1, "violations": []}\n'
+        '{"p": 2, "k": 2, "n": 4, "ok": true, "kernels": 3, "violations": []}\n'
+        '{"p": 2, "k": 2, "n": 5, "ok": true, "kernels": 1, "violations": []}\n'
+        '{"p": 2, "k": 2, "n": 6, "ok": true, "kernels": 2, "violations": []}\n'
+        '{"p": 3, "k": 2, "n": 3, "ok": true, "kernels": 2, "violations": []}\n',
+        "",
+        id="audit-default",
+    ),
+    pytest.param(
+        ("audit", "--p", "2", "--k", "2", "--n", "4"), 0,
+        "audit p=2 k=2 n=4: 3 liftable kernels, ok\n",
+        '{"p": 2, "k": 2, "n": 4, "ok": true, "kernels": 3, "violations": []}\n',
+        "",
+        id="audit-point",
+    ),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("args,code,text,document,err", CLI_PINS)
+def test_cli_output_pinned(tmp_path, capsys, monkeypatch, fmt, args, code, text, document, err):
+    # stdout, stderr and exit code of every command in both formats, byte
+    # for byte
+    monkeypatch.delenv("BRANCHLIFT_OUTPUT_DIR", raising=False)
+    for name, cover in GENERAL_COVERS.items():
+        (tmp_path / name).write_text(json.dumps(cover))
+    args = [a.replace("{dir}", str(tmp_path)) for a in args]
+    got, out, got_err = run_cli(capsys, *args, "--format", fmt)
+    want = text if fmt == "text" else document
+    assert (got, _pinned(out, want), got_err) == (code, want, err)
+
+
+@pytest.mark.parametrize("fmt,want", [
+    ("text",
+     "p=2 k=2 n=4: classes=17 liftable=3 match=NO\n"
+     "  mismatch: unpredicted_liftable_class kernel=[[1, 0, 3], [0, 1, 3]] size=1\n"
+     "MISMATCH FOUND\n"),
+    ("json",
+     _doc({"all_match": False, "entries": [
+         {"p": 2, "k": 2, "n": 4, "match": False, "classes": 17, "liftable": 3, "mismatches": [
+             {"kind": "unpredicted_liftable_class",
+              "kernel": {"p": 2, "k": 2, "m": 3, "basis": [[1, 0, 3], [0, 1, 3]]},
+              "size": 1, "witness": None},
+         ]},
+     ]})),
+])
+def test_verify_mismatch_output_pinned(capsys, monkeypatch, fmt, want):
+    # family 3 dropped from the prediction at (2,2,4): its class lifts with
+    # no prediction to match, and the entry's mismatches are a tuple of dicts
+    original = census.predict_liftable
+    monkeypatch.setattr(census, "predict_liftable",
+                        lambda p, k, n: [pr for pr in original(p, k, n) if pr.family != 3])
+    assert run_cli(capsys, "verify", "--grid", "2,2,4", "--format", fmt) == (1, want, "")
