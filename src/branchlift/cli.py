@@ -10,6 +10,10 @@ Subcommands:
 Exit codes: 0 success (check: liftable), 1 check: not liftable / verify or
 audit found a problem, 2 invalid input or an atlas directory that cannot
 be written, 3 bound exceeded.
+
+With ``--format json`` every command but ``audit`` prints one indented
+document through the atlas writer; ``audit`` prints one compact JSON
+object per grid point per line.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .covers import (
 from .census import (
     BoundExceededError,
     DEFAULT_BOUND,
+    _render,
     check_grid,
     classify,
     classify_two_points,
@@ -111,6 +116,17 @@ def _cover_from_args(args) -> "object":
     return CoverSpec(args.p, args.k, args.n, factors, images)
 
 
+def _emit(args, doc, text: list[str]) -> None:
+    """Print ``doc`` as one indented JSON document, through the atlas
+    writer, for ``--format json``, and the lines of ``text`` otherwise."""
+    print(_render(doc) if args.format == "json" else "\n".join(text))
+
+
+def _verdict_text(verdict: dict) -> str:
+    """A verdict's JSON in words: the witness names the failing swap."""
+    return "liftable" if verdict["liftable"] else f"not liftable (witness {verdict['witness']})"
+
+
 def cmd_check(args) -> int:
     strict = not args.lax
     try:
@@ -122,53 +138,33 @@ def cmd_check(args) -> int:
         codes = validate_general(spec, strict)
         if codes:
             return _fail("validation failed: " + ", ".join(codes), 2)
-        parts = primary_parts(spec)
-        verdicts = [(part, fully_liftable(kernel(part, strict=False))) for part in parts]
-        liftable = all(v.liftable for _, v in verdicts)
-        payload = {
-            "liftable": liftable,
-            "parts": [
-                {
-                    "p": part.p,
-                    "k": part.k,
-                    "deck_group": deck_group_name(part.factor_orders),
-                    **verdict.to_json(),
-                }
-                for part, verdict in verdicts
-            ],
-        }
-        if args.format == "json":
-            print(json.dumps(payload, indent=2))
-        else:
-            print("liftable" if liftable else "not liftable")
-            for entry in payload["parts"]:
-                note = "" if entry["witness"] is None else f" (witness {entry['witness']})"
-                print(
-                    f"  p={entry['p']} part {entry['deck_group']}: "
-                    f"{'liftable' if entry['liftable'] else 'not liftable'}{note}"
-                )
+        parts = [
+            {
+                "p": part.p,
+                "k": part.k,
+                "deck_group": deck_group_name(part.factor_orders),
+                **fully_liftable(kernel(part, strict=False)).to_json(),
+            }
+            for part in primary_parts(spec)
+        ]
+        liftable = all(part["liftable"] for part in parts)
+        _emit(args, {"liftable": liftable, "parts": parts},
+              ["liftable" if liftable else "not liftable"]
+              + [f"  p={e['p']} part {e['deck_group']}: {_verdict_text(e)}" for e in parts])
         return 0 if liftable else 1
 
     try:
         ker = kernel(spec, strict)
     except CoverValidationError as exc:
         return _fail("validation failed: " + ", ".join(exc.codes), 2)
-    verdict = fully_liftable(ker)
-    payload = {
-        **verdict.to_json(),
+    doc = {
+        **fully_liftable(ker).to_json(),
         "kernel_order": order(ker),
         "deck_group": deck_group_name(spec.factor_orders),
     }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        if verdict.liftable:
-            print("liftable")
-        else:
-            print(f"not liftable (witness {verdict.witness.cycles()})")
-        print(f"kernel order {payload['kernel_order']}")
-        print(f"deck group {payload['deck_group']}")
-    return 0 if verdict.liftable else 1
+    _emit(args, doc, [_verdict_text(doc), f"kernel order {doc['kernel_order']}",
+                      f"deck group {doc['deck_group']}"])
+    return 0 if doc["liftable"] else 1
 
 
 def cmd_canonical(args) -> int:
@@ -189,33 +185,28 @@ def cmd_canonical(args) -> int:
     form = canonical_form(sub)
     if not equal(rebuild(form), sub):
         return _fail("internal error: normal form does not round-trip", 1)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "subgroup": subgroup_to_json(sub),
-                    "order": order(sub),
-                    "rank": form.rank,
-                    "exponents": list(form.exponents),
-                    "upper": [list(r) for r in form.upper],
-                    "colperm": form.colperm.cycles(),
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(str(sub) + f", order {order(sub)}")
-        print("basis:")
-        for row in sub.basis:
-            print("  [" + " ".join(map(str, row)) + "]")
-        if not sub.basis:
-            print("  (empty)")
-        print(f"rank {form.rank}, exponents {list(form.exponents)}")
-        print("upper cofactor:")
-        for row in form.upper:
-            print("  [" + " ".join(map(str, row)) + "]")
-        print(f"column permutation: {form.colperm.cycles()}")
-        print("round trip: ok")
+    doc = {
+        "subgroup": subgroup_to_json(sub),
+        "order": order(sub),
+        "rank": form.rank,
+        "exponents": list(form.exponents),
+        "upper": [list(r) for r in form.upper],
+        "colperm": form.colperm.cycles(),
+    }
+
+    def lines(matrix):
+        return ["  [" + " ".join(map(str, row)) + "]" for row in matrix]
+
+    _emit(args, doc, [
+        f"{sub}, order {doc['order']}",
+        "basis:",
+        *(lines(sub.basis) or ["  (empty)"]),
+        f"rank {form.rank}, exponents {doc['exponents']}",
+        "upper cofactor:",
+        *lines(form.upper),
+        f"column permutation: {doc['colperm']}",
+        "round trip: ok",
+    ])
     return 0
 
 
@@ -242,7 +233,7 @@ def cmd_classify(args) -> int:
         if args.output:
             raise ValueError("classify --n 2 writes no atlas")
         rep = classify_two_points(args.p, args.k, bound=args.bound)
-        payload = {
+        doc = {
             "p": rep.p,
             "k": rep.k,
             "n": 2,
@@ -250,27 +241,20 @@ def cmd_classify(args) -> int:
             "all_liftable": rep.all_liftable,
             "cover_classes": 1,
         }
-        if args.format == "json":
-            print(json.dumps(payload, indent=2))
-        else:
-            print(
-                f"n=2: {len(rep.subgroups)} subgroups, all liftable: {rep.all_liftable}; "
-                f"1 cover class with deck group {deck_group_name(rep.cover.factor_orders)}"
-            )
+        _emit(args, doc, [
+            f"n=2: {len(rep.subgroups)} subgroups, all liftable: {rep.all_liftable}; "
+            f"1 cover class with deck group {deck_group_name(rep.cover.factor_orders)}"
+        ])
         return 0
     report = classify(args.p, args.k, args.n, bound=args.bound, strict=strict)
     out_dir = _output_dir(args)
     if out_dir:
         path = write_atlas(report, out_dir)
         print(f"atlas written to {path}", file=sys.stderr)
+    # the report's document is large, so it is built for JSON output only
     if args.format == "json":
-        print(json.dumps(report_to_json(report), indent=2))
-    else:
-        _print_report_text(report)
-    return 0
-
-
-def _print_report_text(report) -> None:
+        print(_render(report_to_json(report)))
+        return 0
     print(
         f"census p={report.p} k={report.k} n={report.n}: "
         f"{len(report.classes)} classes, {len(report.liftable_classes)} liftable, "
@@ -285,6 +269,7 @@ def _print_report_text(report) -> None:
             f"  deck {deck_group_name(rec.cover.factor_orders):<20} "
             f"kernel order {order(rec.kernel):<6} class size {rec.size:<5} {label}{fam}"
         )
+    return 0
 
 
 def cmd_verify(args) -> int:
@@ -294,19 +279,15 @@ def cmd_verify(args) -> int:
         strict=not args.lax,
         atlas_dir=_output_dir(args),
     )
-    if args.format == "json":
-        entries = [dataclasses.asdict(e) for e in summary.entries]
-        print(json.dumps({"all_match": summary.all_match, "entries": entries}, indent=2))
-    else:
-        for e in summary.entries:
-            print(
-                f"p={e.p} k={e.k} n={e.n}: classes={e.classes} "
-                f"liftable={e.liftable} match={'yes' if e.match else 'NO'}"
-            )
-            for mm in e.mismatches:
-                print(f"  mismatch: {mm['kind']} kernel={mm['kernel']['basis']} "
-                      f"size={mm['size']}")
-        print("all match" if summary.all_match else "MISMATCH FOUND")
+    text = []
+    for e in summary.entries:
+        text.append(f"p={e.p} k={e.k} n={e.n}: classes={e.classes} "
+                    f"liftable={e.liftable} match={'yes' if e.match else 'NO'}")
+        text += [f"  mismatch: {mm['kind']} kernel={mm['kernel']['basis']} size={mm['size']}"
+                 for mm in e.mismatches]
+    text.append("all match" if summary.all_match else "MISMATCH FOUND")
+    entries = [dataclasses.asdict(e) for e in summary.entries]
+    _emit(args, {"all_match": summary.all_match, "entries": entries}, text)
     return 0 if summary.all_match else 1
 
 
