@@ -12,13 +12,17 @@ when its kernel subgroup is invariant under this whole action; since the
 invariance locus is a subgroup of the permutation group, checking a
 generating set suffices.
 
-Invariance, and equivalence in ``covers``, are decided by membership of
-moved basis rows, without computing an image: alpha carries S into T
-exactly when every moved basis row of S lies in T, which one pass
-against the pivots of T's Howell basis decides.  The action is
-injective and the groups are finite, so when S and T have equal order,
-alpha carrying S into T carries it onto T.  ``act`` computes the image
-itself and serves as the reference.
+Invariance is decided by membership of moved basis rows, without
+computing an image: alpha carries S into T exactly when every moved
+basis row of S lies in T, which one pass against the pivots of T's
+Howell basis decides.  The action is injective and the groups are
+finite, so when S and T have equal order, alpha carrying S into T
+carries it onto T.  ``act`` computes the image itself and serves as the
+reference.  Equivalence in ``covers`` moves no row: the second kernel is
+the kernel of the second cover's map, so alpha carries it onto the first
+exactly when each basis row of the first, paired with the second
+cover's images permuted by alpha, sums to zero (``covers.equivalent``
+proves it).
 
 A transposition tau needs one membership test, not one per row.  It acts
 as a rank-one update, tau x = x + d(x) delta, with a linear form d and a
@@ -96,6 +100,11 @@ def _carries_into(images: Sequence[int], rows: Sequence[Sequence[int]],
     pivots, which leaves zero exactly for a member
     (``subgroups._reduce_above``).  The action is linear, so the rows land
     in the target exactly when their whole span does.
+
+    ``invariant_under`` calls it, with the subgroup as its own target,
+    for every permutation other than a transposition.  Equivalence does
+    not: ``covers.equivalent`` tests its candidates by image sums, with
+    no moved row and no target pivots.
     """
     for row in rows:
         if not _member([x % n for x in _moved_row(images, row)], pivots, n):

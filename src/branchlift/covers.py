@@ -6,10 +6,11 @@ with the image in A of each loop class; the images must sum to zero and
 generate A.  The kernel of the induced map on mod-p^k homology is the
 subgroup that controls both lifting and equivalence, so this module
 converts between cover descriptions, kernels, and normal forms, decides
-equivalence by a search over point permutations that tests each by
-membership of moved kernel basis rows, computes the deck
-automorphism induced by a liftable permutation, and splits a general
-finite abelian cover into its prime-power parts.
+equivalence by a search over point permutations that tests each by the
+sums of one kernel's basis rows against the other cover's images,
+computes the deck automorphism induced by a liftable permutation, and
+splits a general finite abelian cover into its prime-power parts.
+Surjectivity is decided by a rank mod p, with no reduction mod p^k.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import permutations
+from operator import getitem
 
 from .modular import MAX_MODULUS, Matrix, ModulusContext, Perm, Vector, json_int
 from .subgroups import (
@@ -28,10 +30,8 @@ from .subgroups import (
     _pivots,
     _reduce_above,
     _trusted_subgroup,
-    order,
-    span,
 )
-from .action import _carries_into, _moved_row, invariant_under
+from .action import _moved_row, invariant_under
 
 __all__ = [
     "CoverValidationError",
@@ -150,18 +150,68 @@ def validate(spec: CoverSpec, strict: bool = True) -> list[str]:
     that the deck group has exponent exactly p^k, and (in strict mode)
     that no marked point has a vanishing image, which would mean the cover
     is not actually branched there.
+
+    Whether the images generate A = Z/q_1 x ... x Z/q_t is the rank of
+    their residues mod p, by Burnside's basis theorem: pA is the Frattini
+    subgroup of A, so a subset generates A exactly when its image
+    generates A/pA = (Z/p)^t.  In elementary terms, with H the subgroup
+    the images generate: if H + pA = A, then A/H = p(A/H), hence
+    A/H = p^j (A/H) for every j, which is zero once p^j kills A.  The
+    residue of an image is its row with entry f taken mod p, since
+    Z/q_f / p(Z/q_f) is Z/p for every q_f >= p, so the images generate A
+    exactly when those rows have rank t over Z/p.
+
+    The loop images define a homomorphism from (Z/p^k)^(n-1) only when
+    every q_f divides p^k.  A deck group with a factor above p^k is the
+    image of no such homomorphism, so that cover gets NotSurjective
+    whatever its images; its kernel graph says the same, since
+    ``_embedded_rows`` sends that factor to zero.
     """
-    generated = span(spec.ctx, len(spec.factor_orders), _embedded_rows(spec, spec.images))
-    return _failure_codes(spec, strict, order(generated))
+    return _failure_codes(spec, strict, _generates(spec))
 
 
-def _failure_codes(spec: CoverSpec, strict: bool, image_order: int) -> list[str]:
-    """``validate``'s codes, given the order of the subgroup of the deck
-    group that the images generate."""
+def _generates(spec: CoverSpec) -> bool:
+    """Whether the images generate the deck group: the top factor divides
+    p^k and the image rows mod p have rank t, as ``validate`` proves.
+
+    The rows are taken in turn against an echelon basis mod p, kept as
+    (pivot column, inverse of the pivot entry mod p, row): each row is
+    reduced against the basis rows in the order they were placed and, if
+    it keeps an entry that p does not divide, its first such column makes
+    it the next basis row.  A basis row is zero mod p at the pivot
+    columns of the rows placed before it, so reducing a row against a
+    later one keeps it clear at the earlier pivots.  The rank reaches t
+    exactly when the t-th basis row is placed, and the search stops
+    there.  Entries are reduced mod p only where they are tested."""
+    p = spec.p
+    if spec.factor_orders[-1] > spec.ctx.modulus:
+        return False
+    t = len(spec.factor_orders)
+    basis: list[tuple[int, int, Vector]] = []
+    for row in spec.images:
+        for c, inv, pivot in basis:
+            m = row[c] * inv % p
+            if m:
+                row = [x - m * y for x, y in zip(row, pivot)]
+        for c, x in enumerate(row):
+            if x % p:
+                if len(basis) + 1 == t:
+                    return True
+                basis.append((c, pow(x, -1, p), row))
+                break
+    return False
+
+
+def _failure_codes(spec: CoverSpec, strict: bool, surjective: bool) -> list[str]:
+    """``validate``'s codes, given whether the images generate the deck
+    group: ``validate`` decides it by a rank mod p (``_generates``), and
+    ``kernel`` reads it off the pivots of its deck rows.  The codes come
+    in a fixed order: NotSumZero, WrongExponent, NotSurjective,
+    ZeroBranchImage."""
     codes = [] if _sums_to_zero(spec) else [NOT_SUM_ZERO]
     if spec.factor_orders[-1] != spec.p ** spec.k:
         codes.append(WRONG_EXPONENT)
-    if image_order != deck_group_order(spec):
+    if not surjective:
         codes.append(NOT_SURJECTIVE)
     if strict and any(not any(row) for row in spec.images):
         codes.append(ZERO_BRANCH_IMAGE)
@@ -208,7 +258,9 @@ def kernel(spec: CoverSpec, strict: bool = True) -> Subgroup:
       images sum to zero, the top factor is p^k, no image is zero when
       ``strict``, and that order equals the deck order, ``validate``
       finds no failure; if any of these fails, so does ``validate``, and
-      ``require_valid`` raises its codes.
+      ``require_valid`` raises its codes.  ``validate`` decides whether
+      the images generate the deck group by a rank mod p instead, which
+      gives the same answer (its docstring proves it).
 
     The graph rows enter the pool last loop first.  ``_howell_columns``
     takes the first row of least valuation as a column's pivot, so each
@@ -246,7 +298,7 @@ def _split_graph(spec: CoverSpec, strict: bool) -> tuple[list[list[int]], Subgro
     graph.reverse()
     deck, rest = _howell_columns(graph, range(t), n)
     image_order = math.prod(n // next(filter(None, row)) for row in deck)
-    if _failure_codes(spec, strict, image_order):
+    if _failure_codes(spec, strict, image_order == deck_group_order(spec)):
         require_valid(spec, strict)
     rest.reverse()
     basis, _ = _howell_columns([r[t:] for r in rest], range(b), n)
@@ -340,25 +392,56 @@ def _trusted_cover(ctx: ModulusContext, n: int, factor_orders: tuple[int, ...],
 
 def equivalent(s1: CoverSpec, s2: CoverSpec, strict: bool = True) -> Perm | None:
     """First point permutation carrying the second kernel onto the first,
-    in lexicographic order; None when the covers are inequivalent.
+    in lexicographic order; None when the covers are inequivalent.  Only
+    the first kernel is computed; the second cover is validated, and an
+    invalid one raises ``validate``'s codes as ``kernel`` would.
 
-    A candidate beta is tested by membership: it carries K2 onto K1
-    exactly when every moved basis row of K2 lies in K1.  The moved rows
-    span beta(K2), which then lies in K1; beta acts injectively, so
-    beta(K2) has the order of K2, and the order check below makes that
-    the order of K1, so the subset is all of K1.  Without the check a
-    smaller K2 would be carried into K1 and wrongly matched.
+    The kernels are compared through their orders and one dual test per
+    candidate, with no moved row and no reduction:
+
+    * A valid cover maps (Z/p^k)^(n-1) onto its deck group A, so its
+      kernel has order p^(k(n-1)) / |A|.  Covers whose deck orders differ
+      have kernels of different orders, which no permutation matches.
+    * A permutation beta acts on point coordinates as x -> x o beta,
+      modulo the diagonal: with x_n = 0 this is the row formula of
+      ``action``.  The action is injective and the kernels have equal
+      order, so beta K2 lies in K1 exactly when beta K2 = K1, exactly when
+      beta^-1 K1 = K2, exactly when beta^-1 K1 lies in K2.
+    * The map of the second cover sends a point vector x to
+      sum_v x_v a2_v, where a2_v is the image of point v; the images sum
+      to zero, so the map is well defined modulo the diagonal.  A basis
+      row s of K1, extended by s_n = 0, moves to s o beta^-1, whose image
+      is sum_w s(beta^-1(w)) a2_w = sum_v s_v a2_beta(v).  So beta^-1 K1
+      lies in K2 exactly when, for every basis row s of K1 and every
+      factor f of order q_f, sum_v s_v a2_beta(v)[f] = 0 mod q_f.
+
+    For each such (s, f) a table holds table[v][w] = s_v a2_w[f] mod q_f
+    over the first n-1 points v; the term of point n is zero, and ``map``
+    stops at the shorter table, so a candidate costs one sum of table
+    entries per (s, f), and most fail on the first.  Tables that vanish
+    pass every candidate and are left out.  Candidates run through
+    ``permutations(range(n))``, 0-based images in lexicographic order,
+    the order of the Perm images they stand for.
     """
     if (s1.p, s1.k, s1.n) != (s2.p, s2.k, s2.n):
         raise ValueError("covers have different (p, k, n) parameters")
-    k1 = kernel(s1, strict)
-    k2 = kernel(s2, strict)
-    if order(k1) != order(k2):
+    basis = kernel(s1, strict).basis
+    require_valid(s2, strict)
+    if deck_group_order(s1) != deck_group_order(s2):
         return None
-    pivots = _pivots(k1.basis)
-    for images in permutations(range(1, s1.n + 1)):
-        if _carries_into(images, k2.basis, pivots, s1.ctx.modulus):
-            return Perm(images)
+    columns = list(zip(s2.factor_orders, zip(*s2.images)))
+    tables = []
+    for row in basis:
+        for q, column in columns:
+            table = [[x * a % q for a in column] for x in row]
+            if any(map(any, table)):
+                tables.append((table, q))
+    for perm in permutations(range(s1.n)):
+        for table, q in tables:
+            if sum(map(getitem, table, perm)) % q:
+                break
+        else:
+            return Perm(v + 1 for v in perm)
     return None
 
 

@@ -12,7 +12,13 @@ import pytest
 
 from branchlift import LiftVerdict, Matrix, ModulusContext, Perm, classify, howell_reduce, orbits
 from branchlift.action import _carries_into
-from branchlift.covers import _embedded_rows, _failure_codes, require_valid
+from branchlift.covers import (
+    _embedded_rows,
+    _failure_codes,
+    deck_group_order,
+    kernel,
+    require_valid,
+)
 from branchlift.modular import _val
 from branchlift.subgroups import (
     _check_width,
@@ -22,6 +28,8 @@ from branchlift.subgroups import (
     _pivots,
     _reduce_above,
     _trusted_subgroup,
+    order,
+    span,
 )
 
 
@@ -176,10 +184,59 @@ def split_graph_reference(spec, strict: bool):
     image_order = 1
     for row in deck:
         image_order *= n // next(filter(None, row))
-    if _failure_codes(spec, strict, image_order):
+    if _failure_codes(spec, strict, image_order == deck_group_order(spec)):
         require_valid(spec, strict)
     basis, _ = _howell_columns([r[t:] for r in rest], range(b), n)
     return deck, _trusted_subgroup(ctx, b, tuple(tuple(r) for r in basis))
+
+
+def validate_reference(spec, strict: bool = True) -> list[str]:
+    """``covers.validate`` with surjectivity decided by the order of the
+    span of the images, pushed into (Z/p^k)^t along the factor
+    inclusions: the images generate the deck group exactly when that
+    span has the deck group's order.  The reference for the rank mod p
+    that ``validate`` computes."""
+    generated = span(spec.ctx, len(spec.factor_orders), _embedded_rows(spec, spec.images))
+    return _failure_codes(spec, strict, order(generated) == deck_group_order(spec))
+
+
+def brute_image_order(spec) -> int:
+    """Number of elements of the subgroup of the deck group that the loop
+    images generate, by closure under adding an image, each factor
+    reduced mod its order; no linear algebra."""
+    factors = spec.factor_orders
+    zero = (0,) * len(factors)
+    elems = {zero}
+    frontier = [zero]
+    while frontier:
+        new = []
+        for v in frontier:
+            for g in spec.images:
+                w = tuple((a + c) % q for a, c, q in zip(v, g, factors))
+                if w not in elems:
+                    elems.add(w)
+                    new.append(w)
+        frontier = new
+    return len(elems)
+
+
+def equivalent_reference(s1, s2, strict: bool = True):
+    """``covers.equivalent`` by membership of moved kernel rows: both
+    kernels, None when their orders differ, then the first permutation in
+    lexicographic order that moves every basis row of the second kernel
+    into the first (``action._carries_into``).  The reference for the
+    dual test ``equivalent`` runs on one kernel."""
+    if (s1.p, s1.k, s1.n) != (s2.p, s2.k, s2.n):
+        raise ValueError("covers have different (p, k, n) parameters")
+    k1 = kernel(s1, strict)
+    k2 = kernel(s2, strict)
+    if order(k1) != order(k2):
+        return None
+    pivots = _pivots(k1.basis)
+    for images in permutations(range(1, s1.n + 1)):
+        if _carries_into(images, k2.basis, pivots, s1.ctx.modulus):
+            return Perm(images)
+    return None
 
 
 def lift(ctx: ModulusContext, width: int, basis: Matrix) -> Matrix:

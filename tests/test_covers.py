@@ -42,9 +42,12 @@ from branchlift.subgroups import _pivots
 from conftest import (
     ENUMERATED_GROUPS,
     all_perms,
+    brute_image_order,
+    equivalent_reference,
     graph_kernel_reference,
     inv_unitriangular_int,
     split_graph_reference,
+    validate_reference,
 )
 
 Z4 = ModulusContext(2, 2)
@@ -99,6 +102,49 @@ def test_validate_strict_vs_lax():
     spec = CoverSpec(2, 1, 3, (2,), ((1,), (1,), (0,)))
     assert validate(spec, strict=True) == ["ZeroBranchImage"]
     assert validate(spec, strict=False) == []
+
+
+def _small_spec(rng):
+    """A random cover with a deck group of at most 1,000 elements, broken
+    as often as not: images scaled by p, a zero image, more factors than
+    loops, or a top factor other than p^k, below or above it."""
+    while True:
+        p, k, n = rng.choice((2, 3, 5)), rng.randint(1, 2), rng.randint(2, 6)
+        t = rng.randint(1, 4)
+        if t > 2 and rng.random() < 0.3:
+            n = rng.randint(2, t - 1)
+        top = rng.choice((k, k, k + 1, max(k - 1, 1)))
+        exps = sorted(rng.randint(1, top) for _ in range(t - 1)) + [top]
+        if p ** sum(exps) <= 1000:
+            break
+    factors = tuple(p**e for e in exps)
+    scale = p if rng.random() < 0.2 else 1
+    rows = [[scale * rng.randrange(q) for q in factors] for _ in range(n)]
+    if rng.random() < 0.2:
+        rows[rng.randrange(n)] = [0] * t
+    return CoverSpec(p, k, n, factors, tuple(map(tuple, rows)))
+
+
+def test_validate_against_closure_and_span_reference():
+    # NotSurjective exactly when the images generate less than the deck
+    # group, by closure under addition, or when a factor exceeds p^k, and
+    # the codes of the span reference in both modes
+    rng = random.Random(47)
+    seen = Counter()
+    for _ in range(3000):
+        spec = _small_spec(rng)
+        onto = (spec.factor_orders[-1] <= spec.p**spec.k
+                and brute_image_order(spec) == deck_group_order(spec))
+        for strict in (True, False):
+            codes = validate(spec, strict)
+            assert codes == validate_reference(spec, strict), (spec, strict)
+            assert ("NotSurjective" not in codes) == onto, spec
+        seen["onto" if onto else "not onto"] += 1
+        seen["scaled"] += all(x % spec.p == 0 for row in spec.images for x in row)
+        seen["more factors than loops"] += len(spec.factor_orders) > spec.n
+        seen["top above p^k"] += spec.factor_orders[-1] > spec.p**spec.k
+        seen["top below p^k"] += spec.factor_orders[-1] < spec.p**spec.k
+    assert min(seen.values()) >= 100, seen
 
 
 def test_kernel_case1_trivial():
@@ -485,23 +531,133 @@ def test_equivalent_against_act_search():
     assert found and missed
 
 
+def _equivalence_pair_outcome(fn, s1, s2, strict):
+    """What an equivalence search returns for a pair, or the codes it
+    raises for an invalid cover."""
+    try:
+        return fn(s1, s2, strict)
+    except CoverValidationError as err:
+        return err.codes
+
+
+def _equivalence_pairs(rng):
+    """Pairs shaped like the ``queries`` benchmark's, n = 3..6: a cover
+    drawn as ``_query_spec`` draws one, valid in lax mode and with a zero
+    image now and then, against a relabelled copy (either way round), an
+    independent cover of the same shape, a cover with a different deck
+    order, or a broken cover of the same shape."""
+    while True:
+        p, k, n = rng.choice((2, 3, 5)), rng.randint(1, 3), rng.randint(3, 6)
+        exps = sorted(rng.randint(1, k) for _ in range(rng.randint(0, 2))) + [k]
+        shape = (p, k, n, tuple(p**e for e in exps))
+        spec = _lax_cover(rng, shape)
+        if spec is not None:
+            break
+    kind = rng.choice(("relabelled", "relabelled back", "independent", "deck order",
+                       "broken"))
+    if kind.startswith("relabelled"):
+        points = list(range(n))
+        rng.shuffle(points)
+        other = CoverSpec(*shape, tuple(spec.images[i] for i in points))
+        return kind, *((other, spec) if kind == "relabelled back" else (spec, other))
+    if kind == "independent":
+        other = _lax_cover(rng, shape)
+        return kind, spec, other or spec
+    if kind == "deck order":
+        factors = shape[3][1:] if len(shape[3]) > 1 else (p, *shape[3])
+        other = _lax_cover(rng, (p, k, n, factors))
+        return kind, spec, other or spec
+    return kind, spec, _oracle_spec_of_shape(rng, shape)
+
+
+def _lax_cover(rng, shape):
+    """A cover of the shape (p, k, n, factors) whose images sum to zero
+    and generate the deck group, a tenth of them with one zero image;
+    None after 20 failed draws."""
+    p, k, n, factors = shape
+    for _ in range(20):
+        rows = [[rng.randrange(q) for q in factors] for _ in range(n - 1)]
+        if rng.random() < 0.1:
+            rows[rng.randrange(n - 1)] = [0] * len(factors)
+        rows.append([-sum(r[j] for r in rows) for j in range(len(factors))])
+        spec = CoverSpec(p, k, n, factors, tuple(map(tuple, rows)))
+        if not validate(spec, strict=False):
+            return spec
+    return None
+
+
+def _oracle_spec_of_shape(rng, shape):
+    """A cover of the shape broken as ``_oracle_spec`` breaks one: images
+    scaled by p, a sum that fails to vanish, or a top factor below p^k
+    (for k = 1 the sum instead)."""
+    p, k, n, factors = shape
+    broken = rng.choice(("scaled", "sum", "exponent" if k > 1 else "sum"))
+    if broken == "exponent":
+        factors = tuple(min(q, p ** (k - 1)) for q in factors)
+    scale = p if broken == "scaled" else 1
+    rows = [[scale * rng.randrange(q) for q in factors] for _ in range(n - 1)]
+    last = [-sum(r[j] for r in rows) for j in range(len(factors))]
+    if broken == "sum":
+        last[0] += 1
+    return CoverSpec(p, k, n, factors, tuple(map(tuple, rows + [last])))
+
+
+def test_equivalent_against_membership_reference():
+    # the dual test on one kernel against the membership search on both:
+    # the same permutation or None; for an invalid cover, the codes
+    # validate gives the first cover or else the second, though
+    # equivalent computes no second kernel
+    rng = random.Random(37)
+    seen = Counter()
+    for _ in range(2000):
+        kind, s1, s2 = _equivalence_pairs(rng)
+        for strict in (True, False):
+            got = _equivalence_pair_outcome(equivalent, s1, s2, strict)
+            want = _equivalence_pair_outcome(equivalent_reference, s1, s2, strict)
+            assert got == want, (kind, s1, s2, strict)
+            first = validate(s1, strict)
+            codes = first or validate(s2, strict)
+            if codes:
+                assert got == codes, (kind, s1, s2, strict)
+            if not first:
+                seen.update(codes)
+            seen[kind, "codes" if codes else "None" if got is None else "found"] += 1
+    for kind in ("relabelled", "relabelled back", "independent"):
+        assert seen[kind, "found"] >= 50, seen
+    for kind in ("independent", "deck order"):
+        assert seen[kind, "None"] >= 50, seen
+    assert seen["broken", "codes"] >= 100, seen
+    for code in ("NotSumZero", "NotSurjective", "WrongExponent", "ZeroBranchImage"):
+        assert seen[code] >= 20, seen
+
+
 def test_target_pivots_computed_once(monkeypatch):
     # the relabelled pair is not matched by the identity, so the search
-    # tries several candidates; the target's pivots are taken once for
-    # the whole search, and once for all generators in fully_liftable
+    # tries several candidates; it eliminates the graph of the first
+    # cover only and tests each candidate by sums, with no pivots at all;
+    # the target's pivots are taken once for all generators in
+    # fully_liftable
     calls = []
+    graphs = []
+    split_graph = covers._split_graph
 
     def counting_pivots(basis):
         calls.append(basis)
         return _pivots(basis)
 
+    def counting_split_graph(spec, strict):
+        graphs.append(spec)
+        return split_graph(spec, strict)
+
     monkeypatch.setattr("branchlift.action._pivots", counting_pivots)
     monkeypatch.setattr("branchlift.covers._pivots", counting_pivots)
+    monkeypatch.setattr(covers, "_split_graph", counting_split_graph)
     spec = CoverSpec(2, 1, 4, (2, 2), ((1, 0), (1, 0), (0, 1), (0, 1)))
     relabelled = CoverSpec(2, 1, 4, (2, 2), ((0, 1), (1, 0), (1, 0), (0, 1)))
     beta = equivalent(spec, relabelled)
     assert beta is not None and not beta.is_identity
-    assert calls == [kernel(spec).basis]
+    assert len(graphs) == 1 and graphs[0] is spec
+    assert calls == []
     calls.clear()
     assert fully_liftable(kernel(ALL_ONES_3)).liftable
     assert calls == [kernel(ALL_ONES_3).basis]
